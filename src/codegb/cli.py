@@ -56,7 +56,9 @@ class InconsistentDimensionsError(ParseError):
 
 
 @dataclass
-class JobSpec:
+class Document:
+    """A parsed input document: the field and the matrix rows."""
+
     p: int
     r: int
     modulus: tuple
@@ -65,11 +67,6 @@ class JobSpec:
     rows: tuple  # rows of raw tokens
     ff: FiniteField
     matrix: tuple  # rows of FieldElement
-    command: str = ""
-    kind: str = ORDINARY
-    order: str = "degrevlex"
-    fmt: str = "text"
-    shortcut_char2: bool = False
 
     def build_code(self) -> LinearCode:
         if self.role == "parity":
@@ -99,7 +96,7 @@ def _parse_element(tok: str, ff: FiniteField, lineno: int):
     return ff.from_int(m)
 
 
-def parse_input(text: str) -> JobSpec:
+def parse_input(text: str) -> Document:
     p = r = None
     modulus = None
     basis_tokens = None
@@ -171,7 +168,7 @@ def parse_input(text: str) -> JobSpec:
         raise ParseError("missing field line")
     if not token_rows:
         raise ParseError("no matrix rows given")
-    return JobSpec(
+    return Document(
         p=p,
         r=r,
         modulus=modulus,
@@ -194,27 +191,34 @@ def _elements_payload(binomials) -> list:
     return [[list(b.lhs), list(b.rhs)] for b in binomials.sorted()]
 
 
-def _compute(job: JobSpec) -> dict:
-    code = job.build_code()
-    ff = job.ff
-    generalized = job.kind == GENERALIZED
+def _header(doc: Document, args) -> dict:
+    """The job as the payload and the cache key both describe it: the command,
+    kind and order asked for, the field and the matrix rows as written."""
+    return {
+        "command": args.command,
+        "kind": args.kind,
+        "order": args.order,
+        "field": {
+            "p": doc.p,
+            "r": doc.r,
+            "modulus": list(doc.modulus),
+            "basis": list(doc.basis_tokens) if doc.basis_tokens else None,
+        },
+        "matrix": {"role": doc.role, "rows": [list(t) for t in doc.rows]},
+    }
+
+
+def _compute(doc: Document, args) -> dict:
+    """The result fields of the payload; run puts the header next to them."""
+    code = doc.build_code()
+    ff = doc.ff
+    generalized = args.kind == GENERALIZED
     base = build_Hplus_e(code) if generalized else build_He(code)
     n, q = code.n, ff.q
     xshape = (n, q - 1) if generalized else (n, ff.r)
-    out: dict = {
-        "command": job.command,
-        "kind": job.kind,
-        "order": job.order,
-        "field": {
-            "p": job.p,
-            "r": job.r,
-            "modulus": list(job.modulus),
-            "basis": list(job.basis_tokens) if job.basis_tokens else None,
-        },
-        "matrix": {"role": job.role, "rows": [list(t) for t in job.rows]},
-    }
+    out: dict = {}
 
-    if job.command == "matrix":
+    if args.command == "matrix":
         out["matrices"] = {
             "base": [list(base.row(i)) for i in range(base.nrows)],
             "extended": [
@@ -230,7 +234,7 @@ def _compute(job: JobSpec) -> dict:
         }
         return out
 
-    if job.command == "toric":
+    if args.command == "toric":
         space = VariableSpace(Block("x", xshape), Block("y", base.nrows))
         gens = toric_ideal(extend_with_pI(base, ff.p), space)
         out["variables"] = list(space.names())
@@ -238,35 +242,35 @@ def _compute(job: JobSpec) -> dict:
         out["elements"] = _elements_payload(gens)
         return out
 
-    if job.command == "rgb":
+    if args.command == "rgb":
         gens = build_generalized_generators(code) if generalized else build_ordinary_generators(code)
-        gb = buchberger(gens, _order_for(job.order, gens.space.dim))
+        gb = buchberger(gens, _order_for(args.order, gens.space.dim))
         out["variables"] = list(gens.space.names())
         out["count"] = len(gb)
         # keep the stored orientation: leading side first, sorted by lead
         out["elements"] = [[list(b.lhs), list(b.rhs)] for b in gb]
         return out
 
-    if job.command in ("graver", "ugb", "verify"):
+    if args.command in ("graver", "ugb", "verify"):
         pipeline = graver_generalized if generalized else graver_ordinary
         nx = n * (q - 1) if generalized else n * ff.r
-        graver = pipeline(code, _order_for(job.order, 2 * nx))
+        graver = pipeline(code, _order_for(args.order, 2 * nx))
         space = graver.elements.space
         out["variables"] = list(space.names())
-        if job.command == "graver":
+        if args.command == "graver":
             out["count"] = len(graver)
             out["elements"] = _elements_payload(graver.elements)
             return out
-        if job.command == "ugb":
+        if args.command == "ugb":
             ub = (
                 universal_basis_char2(graver)
-                if job.shortcut_char2
+                if args.shortcut_char2
                 else universal_basis(graver)
             )
             out["count"] = len(ub)
             out["elements"] = _elements_payload(ub.elements)
             return out
-        oracle = graver_bruteforce(code, job.kind)
+        oracle = graver_bruteforce(code, args.kind)
         agree = graver.elements == oracle.elements
         out["agree"] = agree
         out["count"] = len(oracle)
@@ -276,7 +280,7 @@ def _compute(job: JobSpec) -> dict:
         out["only_oracle"] = _elements_payload(BinomialSet(space, only_orac))
         return out
 
-    raise ValueError(f"unknown command {job.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 # --------------------------------------------------------------- presentation
@@ -299,10 +303,10 @@ def _binomial_lines(elements, names) -> list:
     ]
 
 
-def _render_text(job: JobSpec, result: dict) -> str:
+def _render_text(result: dict) -> str:
     lines = []
-    if job.command == "matrix":
-        plus = "+" if job.kind == GENERALIZED else ""
+    if result["command"] == "matrix":
+        plus = "+" if result["kind"] == GENERALIZED else ""
         labels = [("base", f"H{plus}e"), ("extended", f"H{plus}(q)"), ("lawrence", "Lawrence")]
         for key, label in labels:
             lines.append(f"{label}:")
@@ -310,7 +314,7 @@ def _render_text(job: JobSpec, result: dict) -> str:
                 lines.append(" ".join(str(e) for e in row))
             lines.append("")
         return "\n".join(lines).rstrip("\n") + "\n"
-    if job.command == "verify":
+    if result["command"] == "verify":
         lines.append(f"agree: {'true' if result['agree'] else 'false'}")
         lines.append(f"count: {result['count']}")
         names = result["variables"]
@@ -324,28 +328,14 @@ def _render_text(job: JobSpec, result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(job: JobSpec, result: dict) -> str:
-    if job.fmt == "json":
+def render(fmt: str, result: dict) -> str:
+    """A result payload as `fmt` ("text" or "json") output."""
+    if fmt == "json":
         return json.dumps(result, sort_keys=True, indent=2) + "\n"
-    return _render_text(job, result)
+    return _render_text(result)
 
 
 # -------------------------------------------------------------------- caching
-
-
-def _cache_key_fields(job: JobSpec) -> dict:
-    return {
-        "p": job.p,
-        "r": job.r,
-        "modulus": list(job.modulus),
-        "basis": list(job.basis_tokens) if job.basis_tokens else None,
-        "role": job.role,
-        "rows": [list(t) for t in job.rows],
-        "command": job.command,
-        "kind": job.kind,
-        "order": job.order,
-        "shortcut_char2": job.shortcut_char2,
-    }
 
 
 def default_cache_dir() -> str:
@@ -390,19 +380,20 @@ def _cache_write(path: str, key_fields: dict, result: dict) -> None:
         print(f"warning: could not write cache entry {path}: {e}", file=sys.stderr)
 
 
-def run(job: JobSpec, use_cache: bool = True, cache_dir: Optional[str] = None) -> str:
-    """Execute the job and return its serialized result."""
-    result = None
-    path = None
-    if use_cache:
-        key_fields = _cache_key_fields(job)
-        path = _cache_path(cache_dir or default_cache_dir(), key_fields)
-        result = _cache_read(path, key_fields)
+def run(doc: Document, args) -> dict:
+    """The result payload of the job that `args` (parsed by build_parser) asks
+    of `doc`: read from the cache, or computed and then cached."""
+    header = _header(doc, args)
+    result = path = key = None
+    if not args.no_cache:
+        key = {**header, "shortcut_char2": args.shortcut_char2}
+        path = _cache_path(args.cache_dir or default_cache_dir(), key)
+        result = _cache_read(path, key)
     if result is None:
-        result = _compute(job)
-        if use_cache and path is not None:
-            _cache_write(path, _cache_key_fields(job), result)
-    return render(job, result)
+        result = {**header, **_compute(doc, args)}
+        if path is not None:
+            _cache_write(path, key, result)
+    return result
 
 
 # ------------------------------------------------------------------ CLI entry
@@ -433,6 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cache-dir", default=None)
         if name == "ugb":
             sp.add_argument("--shortcut-char2", action="store_true")
+        else:
+            sp.set_defaults(shortcut_char2=False)
     return parser
 
 
@@ -448,32 +441,17 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: cannot read input: {e}", file=sys.stderr)
         return 2
     try:
-        job = parse_input(text)
+        doc = parse_input(text)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    job.command = args.command
-    job.kind = args.kind
-    job.order = args.order
-    job.fmt = args.format
-    job.shortcut_char2 = getattr(args, "shortcut_char2", False)
-    use_cache = not args.no_cache
     try:
-        result = None
-        path = None
-        if use_cache:
-            key_fields = _cache_key_fields(job)
-            path = _cache_path(args.cache_dir or default_cache_dir(), key_fields)
-            result = _cache_read(path, key_fields)
-        if result is None:
-            result = _compute(job)
-            if use_cache and path is not None:
-                _cache_write(path, _cache_key_fields(job), result)
+        result = run(doc, args)
     except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
-    sys.stdout.write(render(job, result))
-    if job.command == "verify" and not result["agree"]:
+    sys.stdout.write(render(args.format, result))
+    if args.command == "verify" and not result["agree"]:
         return 3
     return 0
 

@@ -5,8 +5,10 @@ difference (or zero), so the whole computation stays inside exponent-vector
 pairs.  Monomials are packed into single integers (one bit field per variable,
 with a guard bit) so divisibility, lcm and the reduction step are a handful of
 big-integer operations; the field width grows automatically if an exponent
-overflows.  Pair selection follows the normal strategy (smallest lcm first,
-insertion index as tie-break) with the coprimality and chain criteria.
+overflows.  One packed normal form serves Buchberger's reductions, the final
+autoreduction and `reduce`, which packs a basis once, on first use.  Pair
+selection follows the normal strategy (smallest lcm first, insertion index as
+tie-break) with the coprimality and chain criteria.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from .orders import GradedRevlexOrder, MonomialOrder
 class GroebnerBasis:
     """A reduced basis; each element is stored with its leading side first."""
 
-    __slots__ = ("space", "order", "elements")
+    __slots__ = ("space", "order", "elements", "_packed")
 
     def __init__(self, space: VariableSpace, order: MonomialOrder, elements: Sequence[Binomial]):
         self.space = space
         self.order = order
         self.elements = tuple(elements)
+        self._packed = None  # _Packed of the elements, made by the first reduce
 
     @property
     def binomials(self) -> BinomialSet:
@@ -49,83 +52,51 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements)"
 
 
-def _normal_tuple(m: tuple, elements) -> tuple:
-    """Tuple-arithmetic normal form of a monomial against lead-first binomials."""
-    changed = True
-    while changed:
-        changed = False
-        for g in elements:
-            u = g.lhs
-            if all(a >= b for a, b in zip(m, u)):
-                m = tuple(a - b + c for a, b, c in zip(m, u, g.rhs))
-                changed = True
-                break
-    return m
-
-
-def reduce(binom: Binomial, basis: GroebnerBasis) -> Optional[Binomial]:
-    """Normal form of a binomial; None when both sides collapse together."""
-    lhs = _normal_tuple(binom.lhs, basis.elements)
-    rhs = _normal_tuple(binom.rhs, basis.elements)
-    if lhs == rhs:
-        return None
-    if basis.order.compare(lhs, rhs) < 0:
-        lhs, rhs = rhs, lhs
-    return Binomial(lhs, rhs)
-
-
 class _Overflow(Exception):
     pass
 
 
-def buchberger(gens, order: MonomialOrder, space: VariableSpace | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by pure-difference binomials."""
-    if isinstance(gens, BinomialSet):
-        space = gens.space
-        binoms = gens.sorted()
-    else:
-        if space is None:
-            raise ValueError("space required when gens is not a BinomialSet")
-        binoms = sorted(
-            (b.canonical() for b in gens), key=lambda b: (sum(b.lhs), b.lhs, b.rhs)
-        )
-    if order.dim != space.dim:
-        raise ValueError("order dimension disagrees with the variable space")
-    for width in (8, 16, 32, 64):
-        try:
-            return _run(binoms, order, space, width)
-        except _Overflow:
-            continue
-    raise OverflowError("exponent does not fit 63 bits")
+class _Packed:
+    """Monomials packed into integers, `width` bits per variable, and lead-first
+    binomials held as parallel arrays of packed sides.
 
+    The top bit of each field is a guard: with every field of m at most `cap`,
+    lead divides m iff (m | guard) - lead keeps all guard bits set.  An
+    exponent past `cap` raises _Overflow, and the caller retries wider.
+    """
 
-def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> GroebnerBasis:
-    dim = space.dim
-    okey = order.key
-    W = width
-    cap = (1 << (W - 1)) - 1
-    fieldmask = (1 << W) - 1
-    guard = 0
-    for i in range(dim):
-        guard |= 1 << (W * i + W - 1)
+    def __init__(self, dim: int, width: int, elements: Sequence[Binomial] = ()):
+        self.dim = dim
+        self.width = width
+        self.cap = (1 << (width - 1)) - 1
+        self.fieldmask = (1 << width) - 1
+        self.guard = sum(1 << (width * i + width - 1) for i in range(dim))
+        self.lead_p, self.trail_p = [], []
+        self.lead_sm, self.lead_dg, self.trail_dg = [], [], []
+        for b in elements:
+            self.add(self.pack(b.lhs), sum(b.lhs), self.pack(b.rhs), sum(b.rhs))
 
-    def pack(u):
+    def pack(self, u) -> int:
+        W, cap = self.width, self.cap
         m = 0
-        for i in range(dim - 1, -1, -1):
+        for i in range(self.dim - 1, -1, -1):
             e = u[i]
             if e > cap:
                 raise _Overflow
             m = (m << W) | e
         return m
 
-    def unpack(m):
+    def unpack(self, m: int) -> tuple:
+        W, fieldmask = self.width, self.fieldmask
         out = []
-        for _ in range(dim):
+        for _ in range(self.dim):
             out.append(m & fieldmask)
             m >>= W
         return tuple(out)
 
-    def smask(m):
+    def smask(self, m: int) -> int:
+        """Bit i set iff variable i occurs in m."""
+        W, fieldmask, cap = self.width, self.fieldmask, self.cap
         s = 0
         i = 0
         while m:
@@ -138,15 +109,19 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
             i += 1
         return s
 
-    # parallel arrays over basis elements, leading side first
-    lead_p, trail_p, lead_t, trail_t = [], [], [], []
-    lead_sm, lead_dg, trail_dg = [], [], []
+    def add(self, a_p: int, a_dg: int, b_p: int, b_dg: int) -> None:
+        """Append the binomial with packed leading side a_p and trail b_p."""
+        self.lead_p.append(a_p)
+        self.trail_p.append(b_p)
+        self.lead_sm.append(self.smask(a_p))
+        self.lead_dg.append(a_dg)
+        self.trail_dg.append(b_dg)
 
-    heap: list = []
-    pending = set()
-    counter = 0
-
-    def normalize(m_p, m_dg):
+    def normalize(self, m_p: int, m_dg: int):
+        """Normal form of packed monomial m_p of degree m_dg, and its degree."""
+        lead_p, trail_p = self.lead_p, self.trail_p
+        lead_sm, lead_dg, trail_dg = self.lead_sm, self.lead_dg, self.trail_dg
+        smask, guard = self.smask, self.guard
         changed = True
         while changed:
             changed = False
@@ -162,6 +137,57 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
                         break
         return m_p, m_dg
 
+    def normal_form(self, u) -> tuple:
+        return self.unpack(self.normalize(self.pack(u), sum(u))[0])
+
+
+def _widening(attempt, width: int = 8):
+    """attempt(width) at the narrowest width from `width` up that holds every exponent."""
+    while width <= 64:
+        try:
+            return attempt(width)
+        except _Overflow:
+            width *= 2
+    raise OverflowError("exponent does not fit 63 bits")
+
+
+def reduce(binom: Binomial, basis: GroebnerBasis) -> Optional[Binomial]:
+    """Normal form of a binomial; None when both sides collapse together."""
+
+    def sides(width):
+        pk = basis._packed
+        if pk is None or pk.width != width:
+            pk = basis._packed = _Packed(basis.space.dim, width, basis.elements)
+        return pk.normal_form(binom.lhs), pk.normal_form(binom.rhs)
+
+    lhs, rhs = _widening(sides, basis._packed.width if basis._packed else 8)
+    if lhs == rhs:
+        return None
+    if basis.order.compare(lhs, rhs) < 0:
+        lhs, rhs = rhs, lhs
+    return Binomial(lhs, rhs)
+
+
+def buchberger(gens: BinomialSet, order: MonomialOrder) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by pure-difference binomials."""
+    space = gens.space
+    if order.dim != space.dim:
+        raise ValueError("order dimension disagrees with the variable space")
+    binoms = gens.sorted()
+    return _widening(lambda width: _run(binoms, order, space, width))
+
+
+def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> GroebnerBasis:
+    okey = order.key
+    pk = _Packed(space.dim, width)
+    pack, unpack, normalize, guard = pk.pack, pk.unpack, pk.normalize, pk.guard
+    lead_p, trail_p, lead_sm, lead_dg, trail_dg = pk.lead_p, pk.trail_p, pk.lead_sm, pk.lead_dg, pk.trail_dg
+    lead_t = []  # unpacked leading sides, for the order key of each lcm
+
+    heap: list = []
+    pending = set()
+    counter = 0
+
     def push_pairs(t):
         nonlocal counter
         lt = lead_t[t]
@@ -176,25 +202,18 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
             heapq.heappush(heap, entry)
             pending.add((i, t))
 
-    def add_element(a_p, a_dg, a_t, b_p, b_dg, b_t):
-        lead_p.append(a_p)
-        trail_p.append(b_p)
+    def add_element(a_p, a_dg, b_p, b_dg):
+        if a_p == b_p:
+            return
+        a_t, b_t = unpack(a_p), unpack(b_p)
+        if okey(a_t) < okey(b_t):
+            a_p, a_dg, a_t, b_p, b_dg = b_p, b_dg, b_t, a_p, a_dg
+        pk.add(a_p, a_dg, b_p, b_dg)
         lead_t.append(a_t)
-        trail_t.append(b_t)
-        lead_sm.append(smask(a_p))
-        lead_dg.append(a_dg)
-        trail_dg.append(b_dg)
         push_pairs(len(lead_p) - 1)
 
     for b in binoms:
-        a_p, a_dg = normalize(pack(b.lhs), sum(b.lhs))
-        b_p, b_dg = normalize(pack(b.rhs), sum(b.rhs))
-        if a_p == b_p:
-            continue
-        a_t, b_t = unpack(a_p), unpack(b_p)
-        if okey(a_t) < okey(b_t):
-            a_p, a_dg, a_t, b_p, b_dg, b_t = b_p, b_dg, b_t, a_p, a_dg, a_t
-        add_element(a_p, a_dg, a_t, b_p, b_dg, b_t)
+        add_element(*normalize(pack(b.lhs), sum(b.lhs)), *normalize(pack(b.rhs), sum(b.rhs)))
 
     while heap:
         _, _, i, j, L_p, L_dg, L_sm = heapq.heappop(heap)
@@ -217,42 +236,32 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
                 break
         if skip:
             continue
-        a_p = L_p - lead_p[i] + trail_p[i]
-        a_dg = L_dg - lead_dg[i] + trail_dg[i]
-        b_p = L_p - lead_p[j] + trail_p[j]
-        b_dg = L_dg - lead_dg[j] + trail_dg[j]
-        a_p, a_dg = normalize(a_p, a_dg)
-        b_p, b_dg = normalize(b_p, b_dg)
-        if a_p == b_p:
-            continue
-        a_t, b_t = unpack(a_p), unpack(b_p)
-        if okey(a_t) < okey(b_t):
-            a_p, a_dg, a_t, b_p, b_dg, b_t = b_p, b_dg, b_t, a_p, a_dg, a_t
-        add_element(a_p, a_dg, a_t, b_p, b_dg, b_t)
+        add_element(
+            *normalize(L_p - lead_p[i] + trail_p[i], L_dg - lead_dg[i] + trail_dg[i]),
+            *normalize(L_p - lead_p[j] + trail_p[j], L_dg - lead_dg[j] + trail_dg[j]),
+        )
 
     # autoreduction: keep minimal leading monomials, then normalize the trails
+    # against the kept leads (a lead never divides anything below itself, so
+    # an element's own lead never rewrites its trail)
     idx = sorted(range(len(lead_p)), key=lambda g: okey(lead_t[g]))
     kept = []
     for g in idx:
         mg = lead_p[g] | guard
-        dominated = False
-        for h in kept:
-            if lead_dg[h] <= lead_dg[g] and not (lead_sm[h] & ~lead_sm[g]):
-                if (mg - lead_p[h]) & guard == guard and lead_p[h] != lead_p[g]:
-                    dominated = True
-                    break
-        if dominated or any(lead_p[h] == lead_p[g] for h in kept):
-            continue
-        kept.append(g)
+        if not any(
+            lead_dg[h] <= lead_dg[g] and not (lead_sm[h] & ~lead_sm[g]) and (mg - lead_p[h]) & guard == guard
+            for h in kept
+        ):
+            kept.append(g)
 
+    red = _Packed(space.dim, width)
+    for g in kept:
+        red.add(lead_p[g], lead_dg[g], trail_p[g], trail_dg[g])
     final = []
-    kept_elems = [Binomial(lead_t[g], trail_t[g]) for g in kept]
-    for pos, g in enumerate(kept):
-        others = [e for t, e in enumerate(kept_elems) if t != pos]
-        trail = _normal_tuple(trail_t[g], others)
-        assert trail != lead_t[g]
-        final.append(Binomial(lead_t[g], trail))
-    final.sort(key=lambda b: okey(b.lhs))
+    for g in kept:
+        trail, _ = red.normalize(trail_p[g], trail_dg[g])
+        assert trail != lead_p[g]
+        final.append(Binomial(lead_t[g], unpack(trail)))
     return GroebnerBasis(space, order, final)
 
 

@@ -82,21 +82,13 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
 
 
 def build_He(code) -> IntMatrix:
-    """The mr x nr expansion: row (i,s), column (j,t) holds the t-th coordinate
-    of b_s * h_ij.
-
-    The pairing of its F_p-kernel with coordinate vectors of codewords assumes
-    the multiplication-by-a matrices are symmetric in the chosen basis; this
-    holds for r = 1 and for every basis of the bundled F4/F9 moduli.
-    """
+    """The mr x nr expansion: row (i,s), column (j,t) holds the s-th coordinate
+    of b_t * h_ij."""
     ff = code.ff
     rows = []
     for i in range(code.m):
-        for b in ff.basis:
-            out = []
-            for j in range(code.n):
-                out.extend(ff.coords(b * code.H[i][j]))
-            rows.append(out)
+        cols = [ff.coords(b * h) for h in code.H[i] for b in ff.basis]
+        rows.extend([c[s] for c in cols] for s in range(ff.r))
     return IntMatrix(rows, ncols=code.n * ff.r)
 
 

@@ -247,7 +247,41 @@ def test_verify_agreement_exits_0(capsys, f3_path):
     assert out.splitlines()[:2] == ["agree: true", "count: 13"]
 
 
+@pytest.mark.parametrize(
+    "doc,count",
+    [
+        # bases whose multiply-by-a matrices are not symmetric: H_e must put
+        # the s-th coordinate of b_t*h_ij at row (i,s), column (j,t)
+        ("field p=2 r=3 modulus=1,1,0,1\nparity a 1\n", 18),
+        ("field p=3 r=2 modulus=2,1,1 basis=a,a^3\nparity a 1\n", 32),
+    ],
+)
+def test_verify_agrees_for_asymmetric_bases(capsys, tmp_path, doc, count):
+    p = tmp_path / "doc.txt"
+    p.write_text(doc)
+    rc, out, err = run_cli(capsys, "verify", str(p), "--no-cache")
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["agree: true", f"count: {count}"]
+
+
+def test_warm_verify_reproduces_the_cold_run(capsys, f3_path, tmp_path):
+    cache = tmp_path / "cache"
+    cold = run_cli(capsys, "verify", f3_path, "--cache-dir", str(cache))
+    warm = run_cli(capsys, "verify", f3_path, "--cache-dir", str(cache))
+    assert cold[0] == 0 and len(list(cache.glob("*.json"))) == 1
+    assert warm == cold
+
+
 def test_compute_failure_exits_3(capsys, f3_path):
     # the characteristic-2 shortcut refuses an ordinary job over GF(3)
     rc, out, err = run_cli(capsys, "ugb", f3_path, "--no-cache", "--shortcut-char2")
     assert rc == 3 and out == "" and "characteristic 2" in err
+
+
+def test_error_without_a_message_names_its_type(capsys, f3_path, monkeypatch):
+    def fail(doc, args):
+        raise AssertionError()
+
+    monkeypatch.setattr("codegb.cli._compute", fail)
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--no-cache")
+    assert (rc, out, err) == (3, "", "error: AssertionError\n")

@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from codegb.binomials import Binomial, BinomialSet, Block, VariableSpace, build_ordinary_generators
+from codegb.binomials import (
+    GENERALIZED,
+    ORDINARY,
+    Binomial,
+    BinomialSet,
+    Block,
+    VariableSpace,
+    build_generalized_generators,
+    build_ordinary_generators,
+    word_of_binomial,
+)
 from codegb.groebner import GroebnerBasis, buchberger, reduce, saturate_all, saturate_variable
 from codegb.orders import LexOrder, degrevlex, lex
 
@@ -30,6 +40,42 @@ def test_reduce_rewrites_by_the_leading_side():
 def test_reduce_to_zero_returns_none():
     gb = buchberger(bset(2, [((1, 0), (0, 1))]), degrevlex(2))
     assert reduce(Binomial((2, 0), (0, 2)), gb) is None
+
+
+def test_reduce_widens_past_the_packed_field():
+    # 200 does not fit the narrowest packed field, so reduce must retry wider
+    gb = buchberger(bset(2, [((1, 0), (0, 1))]), lex(2))
+    assert reduce(Binomial((200, 0), (0, 0)), gb) == Binomial((0, 200), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "code_name,kind,build",
+    [
+        ("code_f9", ORDINARY, build_ordinary_generators),
+        ("code_f4", GENERALIZED, build_generalized_generators),
+    ],
+)
+def test_normal_forms_of_random_words(request, code_name, kind, build):
+    code = request.getfixturevalue(code_name)
+    gens = build(code)
+    gb = buchberger(gens, degrevlex(gens.space.dim))
+    leads = [b.lhs for b in gb.elements]
+    divides = lambda a, b: all(x <= y for x, y in zip(a, b))
+    zero = (0,) * gens.space.dim
+    rng = random.Random(11)
+    for _ in range(200):
+        w = tuple(rng.randrange(4) for _ in zero)
+        if w == zero:
+            continue
+        out = reduce(Binomial(w, zero), gb)
+        nf = zero if out is None else out.lhs
+        if out is not None:
+            assert out.rhs == zero
+            for side in (out.lhs, out.rhs):
+                assert not any(divides(l, side) for l in leads)
+        if nf != w:
+            # x^w and its normal form differ by a codeword
+            assert word_of_binomial(code, Binomial(w, nf), kind) is not None
 
 
 def test_principal_ideal_is_its_own_basis():
