@@ -24,6 +24,19 @@ class DimensionMismatchError(ValueError):
     """Exponent vector length disagrees with the variable space."""
 
 
+class InvariantError(RuntimeError):
+    """An internal check failed: a bug in the computation, not bad input.
+
+    Raised instead of asserting, so the checks also run under ``python -O``;
+    the message names the stage that failed and the offending element.
+    """
+
+    def __init__(self, stage: str, problem: str, element):
+        self.stage = stage
+        self.element = element
+        super().__init__(f"{stage}: {problem}: {element!r}")
+
+
 class Block:
     """A named block of variables: a (n, r) grid or a flat (m,) run."""
 

@@ -214,8 +214,7 @@ def _compute(doc: Document, args) -> dict:
     ff = doc.ff
     generalized = args.kind == GENERALIZED
     base = build_Hplus_e(code) if generalized else build_He(code)
-    n, q = code.n, ff.q
-    xshape = (n, q - 1) if generalized else (n, ff.r)
+    xshape = (code.n, ff.q - 1) if generalized else (code.n, ff.r)
     out: dict = {}
 
     if args.command == "matrix":
@@ -252,9 +251,7 @@ def _compute(doc: Document, args) -> dict:
         return out
 
     if args.command in ("graver", "ugb", "verify"):
-        pipeline = graver_generalized if generalized else graver_ordinary
-        nx = n * (q - 1) if generalized else n * ff.r
-        graver = pipeline(code, _order_for(args.order, 2 * nx))
+        graver = graver_generalized(code) if generalized else graver_ordinary(code)
         space = graver.elements.space
         out["variables"] = list(space.names())
         if args.command == "graver":
@@ -355,8 +352,12 @@ def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
         if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key_fields:
             raise ValueError("schema or key mismatch")
+        if not isinstance(payload.get("result"), dict):
+            raise ValueError("result is not a JSON object")
         return payload["result"]
     except (OSError, ValueError, KeyError) as e:
         print(f"warning: ignoring corrupt cache entry {path}: {e}", file=sys.stderr)
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("matrix", "print the defining integer matrices"),
         ("toric", "generating set of the associated toric ideal"),
         ("rgb", "reduced Groebner basis of the code ideal"),
-        ("graver", "Graver basis via Lawrence lifting"),
+        ("graver", "Graver basis by completion on the code lattice"),
         ("ugb", "universal Groebner basis via the cone sieve"),
         ("verify", "cross-check the pipeline against the brute-force oracle"),
     ]:

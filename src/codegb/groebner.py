@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import Optional, Sequence
 
-from .binomials import Binomial, BinomialSet, VariableSpace
+from .binomials import Binomial, BinomialSet, InvariantError, VariableSpace
 from .orders import GradedRevlexOrder, MonomialOrder
 
 
@@ -260,7 +260,8 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
     final = []
     for g in kept:
         trail, _ = red.normalize(trail_p[g], trail_dg[g])
-        assert trail != lead_p[g]
+        if trail == lead_p[g]:
+            raise InvariantError("autoreduction", "trail reduces to its leading monomial", lead_t[g])
         final.append(Binomial(lead_t[g], unpack(trail)))
     return GroebnerBasis(space, order, final)
 

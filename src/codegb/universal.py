@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .binomials import GENERALIZED, Binomial, BinomialSet
+from .binomials import GENERALIZED, Binomial, BinomialSet, InvariantError
 from .graver import GraverBasis
 from .lp import feasible_point
 
@@ -35,7 +35,8 @@ class ConeSystem:
             t = tuple(r)
             if len(t) != dim:
                 raise ValueError("cone row length disagrees with dim")
-            assert any(t), "zero cone row: construction bug"
+            if not any(t):
+                raise InvariantError("cone system", "zero cone row", t)
             if t not in seen:
                 seen.add(t)
                 rs.append(t)
@@ -123,7 +124,9 @@ def cone_is_empty(cone: ConeSystem, hints: Iterable[Sequence] = ()):
     w = feasible_point(rows, [1] * len(rows), cone.dim)
     if w is None:
         return True, None
-    assert all(_dot(r, w) > 0 for r in rows)
+    for r in rows:
+        if _dot(r, w) <= 0:
+            raise InvariantError("cone witness", f"LP point {w} violates row", r)
     return False, w
 
 
@@ -167,7 +170,10 @@ def cone_rows(g: Binomial, graver: GraverBasis) -> ConeSystem:
         v, vp = e.lhs, e.rhs
         for t in targets:
             if _divides(v, t):
-                assert not _divides(vp, t), "both sides divide a target despite pruning"
+                if _divides(vp, t):
+                    raise InvariantError(
+                        "cone rows", f"both sides divide target {t} despite pruning", e
+                    )
                 rows.append(tuple(b - a for a, b in zip(v, vp)))
             elif _divides(vp, t):
                 rows.append(tuple(a - b for a, b in zip(v, vp)))

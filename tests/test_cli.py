@@ -220,6 +220,23 @@ def test_corrupt_cache_is_reported_and_recomputed(capsys, f3_path, tmp_path):
     assert rc == 0 and out == first and err == ""
 
 
+@pytest.mark.parametrize("part", ["entry", "result"])
+def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, f3_path, tmp_path, part):
+    cache = tmp_path / "cache"
+    _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    entry = next(cache.glob("*.json"))
+    if part == "entry":
+        entry.write_text("[]")  # valid JSON, but no payload
+    else:
+        payload = json.loads(entry.read_text())
+        payload["result"] = []  # schema and key match, the result is no object
+        entry.write_text(json.dumps(payload))
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    assert rc == 0 and out == first
+    assert "corrupt cache" in err and "not a JSON object" in err
+    assert isinstance(json.loads(entry.read_text())["result"], dict)
+
+
 def test_mismatched_cache_key_is_rejected(capsys, f3_path, tmp_path):
     cache = tmp_path / "cache"
     run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from codegb.binomials import GENERALIZED, ORDINARY, Binomial
+from codegb.binomials import GENERALIZED, ORDINARY, Binomial, InvariantError
 from codegb.codes import LinearCode
 from codegb.fields import FiniteField
 from codegb.graver import graver_generalized, graver_ordinary
@@ -32,7 +32,7 @@ def test_cone_system_dedups_and_rejects_bad_rows():
     assert c.rows == ((1, 0), (0, -1))
     with pytest.raises(ValueError):
         ConeSystem(3, [(1, 0)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError, match="cone system: zero cone row"):
         ConeSystem(2, [(0, 0)])
 
 
