@@ -430,8 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    # built on the first call, not at import; every parse starts from a fresh
+    # namespace and no action keeps state, so one parser serves every call
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.input == "-":
             text = sys.stdin.read()

@@ -302,3 +302,17 @@ def test_error_without_a_message_names_its_type(capsys, f3_path, monkeypatch):
     monkeypatch.setattr("codegb.cli._compute", fail)
     rc, out, err = run_cli(capsys, "graver", f3_path, "--no-cache")
     assert (rc, out, err) == (3, "", "error: AssertionError\n")
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(capsys, f3_path, monkeypatch):
+    run_cli(capsys, "graver", f3_path, "--no-cache")
+
+    def rebuilt():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr("codegb.cli.build_parser", rebuilt)
+    rc, _, _ = run_cli(capsys, "ugb", f3_path, "--no-cache", "--shortcut-char2", "--format", "json")
+    assert rc == 3
+    # neither the flag nor the format of the previous call carries over
+    rc, out, err = run_cli(capsys, "ugb", f3_path, "--no-cache")
+    assert rc == 0 and err == "" and len(out.splitlines()) == 10

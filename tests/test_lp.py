@@ -1,5 +1,10 @@
+import random
 from fractions import Fraction
+from math import gcd
 
+import pytest
+
+from codegb.binomials import InvariantError
 from codegb.lp import feasible_point
 
 
@@ -8,9 +13,47 @@ def check(rows, rhs, dim):
     if x is not None:
         assert len(x) == dim
         assert all(v >= 0 for v in x)
+        assert all(isinstance(v, Fraction) for v in x)
         for r, b in zip(rows, rhs):
             assert sum(Fraction(a) * v for a, v in zip(r, x)) >= b
     return x
+
+
+def fourier_motzkin_feasible(rows, rhs, dim):
+    """Independent oracle: eliminate the unknowns of {x >= 0 : Ax >= b} one
+    by one; the system is feasible iff no row 0 >= c with c > 0 is left."""
+    system = {}
+
+    def add(coeffs, c):
+        g = 0
+        for a in coeffs:
+            g = gcd(g, a)
+        if g == 0:
+            return c <= 0
+        key = tuple(a // g for a in coeffs)
+        c = Fraction(c) / g
+        if key not in system or system[key] < c:  # keep the tightest rhs
+            system[key] = c
+        return True
+
+    rows = list(rows) + [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    rhs = list(rhs) + [0] * dim
+    if not all(add(r, c) for r, c in zip(rows, rhs)):
+        return False
+    for j in range(dim):
+        pos = [(r, c) for r, c in system.items() if r[j] > 0]
+        neg = [(r, c) for r, c in system.items() if r[j] < 0]
+        rest = [(r, c) for r, c in system.items() if r[j] == 0]
+        system = {}
+        for r, c in rest:
+            add(r, c)
+        for rp, cp in pos:
+            for rn, cn in neg:
+                s, t = -rn[j], rp[j]
+                combo = tuple(s * a + t * b for a, b in zip(rp, rn))
+                if not add(combo, s * cp + t * cn):
+                    return False
+    return True
 
 
 def test_empty_system_returns_origin():
@@ -47,3 +90,53 @@ def test_infeasible_three_cycle():
 def test_result_is_exact():
     x = check([(3, -7)], [1], 2)
     assert all(isinstance(v, Fraction) or v == 0 for v in x)
+
+
+def test_seeded_sweep_agrees_with_fourier_motzkin():
+    rng = random.Random(20141)
+    decided = {True: 0, False: 0}
+    for _ in range(2000):
+        dim = rng.randint(1, 4)
+        m = rng.randint(0, 9)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(m)]
+        rhs = [rng.randint(-2, 2) for _ in range(m)]
+        x = check(rows, rhs, dim)
+        feasible = fourier_motzkin_feasible(rows, rhs, dim)
+        assert (x is not None) == feasible, (rows, rhs)
+        decided[feasible] += 1
+    # both answers are exercised in earnest
+    assert min(decided.values()) > 500
+
+
+def test_systems_built_around_a_farkas_vector_are_infeasible():
+    # y = (1, 2, 1) gives A^T y = (0, 0, -1) <= 0 and b^T y = 2 > 0
+    rows = [(2, -1, 0), (-1, 1, -1), (0, -1, 1)]
+    assert fourier_motzkin_feasible(rows, [1, 1, -1], 3) is False
+    assert check(rows, [1, 1, -1], 3) is None
+    rng = random.Random(7)
+    for _ in range(200):
+        dim, m = rng.randint(1, 4), rng.randint(2, 9)
+        y = [rng.randint(1, 3) for _ in range(m)]
+        rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(m - 1)]
+        # the last row drives every column of A^T y to zero or below
+        last = []
+        for i in range(dim):
+            col = sum(r[i] * w for r, w in zip(rows, y))
+            last.append(-(col + rng.randint(0, 2) * y[-1]) // y[-1])
+        rows.append(last)
+        rhs = [rng.randint(-2, 2) for _ in range(m - 1)]
+        rhs.append(2 - sum(c * w for c, w in zip(rhs, y)) // y[-1])
+        assert all(sum(r[i] * w for r, w in zip(rows, y)) <= 0 for i in range(dim))
+        assert sum(c * w for c, w in zip(rhs, y)) > 0
+        assert check(rows, rhs, dim) is None
+
+
+def test_pivot_limit_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr("codegb.lp._MAX_PIVOTS", 0)
+    with pytest.raises(InvariantError, match="lp: pivot limit"):
+        feasible_point([(1, -1)], [1], 2)
+
+
+def test_row_length_is_checked():
+    with pytest.raises(ValueError):
+        feasible_point([(1, 2, 3)], [1], 2)

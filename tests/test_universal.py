@@ -1,11 +1,21 @@
 """Cone sieve for universal Groebner bases, plus the characteristic-2 shortcut."""
 
+import time
+
 import pytest
 
-from codegb.binomials import GENERALIZED, ORDINARY, Binomial, InvariantError
+from codegb.binomials import (
+    GENERALIZED,
+    ORDINARY,
+    Binomial,
+    InvariantError,
+    build_ordinary_generators,
+)
 from codegb.codes import LinearCode
 from codegb.fields import FiniteField
 from codegb.graver import graver_generalized, graver_ordinary
+from codegb.groebner import buchberger
+from codegb.orders import WeightOrder, degrevlex
 from codegb.universal import (
     ConeSystem,
     WrongKindOrCharacteristicError,
@@ -131,3 +141,76 @@ def test_char2_shortcut_rejects_wrong_inputs(code_f3, code_f4):
         universal_basis_char2(graver_ordinary(code_f4))  # right p, wrong kind
     with pytest.raises(WrongKindOrCharacteristicError):
         universal_basis_char2(graver_generalized(code_f3))  # right kind, wrong p
+
+
+# `codegb ugb` of "field p=13 r=1 modulus=0,1" / "parity 1 2 3 4", as stored
+P13N4_UNIVERSAL = {
+    ((0, 0, 2, 0), (0, 1, 0, 1)),
+    ((0, 1, 1, 0), (1, 0, 0, 1)),
+    ((0, 2, 0, 0), (0, 0, 0, 1)),
+    ((0, 2, 0, 0), (1, 0, 1, 0)),
+    ((1, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 1, 0, 0), (0, 0, 1, 0)),
+    ((2, 0, 0, 0), (0, 1, 0, 0)),
+    ((0, 0, 3, 0), (1, 0, 0, 2)),
+    ((0, 1, 2, 0), (0, 0, 0, 2)),
+    ((0, 3, 0, 0), (0, 0, 2, 0)),
+    ((2, 0, 0, 1), (0, 0, 2, 0)),
+    ((3, 0, 0, 0), (0, 0, 1, 0)),
+    ((0, 0, 0, 4), (0, 0, 1, 0)),
+    ((0, 0, 0, 4), (1, 1, 0, 0)),
+    ((0, 0, 0, 4), (3, 0, 0, 0)),
+    ((0, 0, 1, 3), (0, 1, 0, 0)),
+    ((0, 0, 1, 3), (2, 0, 0, 0)),
+    ((0, 0, 2, 2), (1, 0, 0, 0)),
+    ((0, 0, 3, 1), (0, 0, 0, 0)),
+    ((0, 0, 4, 0), (0, 0, 0, 3)),
+    ((0, 1, 0, 3), (1, 0, 0, 0)),
+    ((0, 1, 1, 2), (0, 0, 0, 0)),
+    ((1, 0, 0, 3), (0, 0, 0, 0)),
+    ((4, 0, 0, 0), (0, 0, 0, 1)),
+    ((0, 0, 5, 0), (0, 1, 0, 0)),
+    ((0, 0, 5, 0), (2, 0, 0, 0)),
+    ((0, 1, 4, 0), (1, 0, 0, 0)),
+    ((0, 2, 3, 0), (0, 0, 0, 0)),
+    ((1, 0, 4, 0), (0, 0, 0, 0)),
+    ((0, 0, 6, 0), (1, 0, 0, 1)),
+    ((0, 5, 1, 0), (0, 0, 0, 0)),
+    ((0, 0, 0, 7), (0, 1, 0, 0)),
+    ((0, 0, 0, 7), (2, 0, 0, 0)),
+    ((0, 0, 7, 0), (0, 0, 0, 2)),
+    ((0, 1, 0, 6), (0, 0, 0, 0)),
+    ((0, 7, 0, 0), (1, 0, 0, 0)),
+    ((1, 6, 0, 0), (0, 0, 0, 0)),
+    ((0, 8, 0, 0), (0, 0, 1, 0)),
+    ((0, 0, 9, 0), (1, 0, 0, 0)),
+    ((0, 0, 0, 10), (1, 0, 0, 0)),
+    ((0, 0, 10, 0), (0, 0, 0, 1)),
+    ((0, 0, 0, 13), (0, 0, 0, 0)),
+    ((0, 0, 13, 0), (0, 0, 0, 0)),
+    ((0, 13, 0, 0), (0, 0, 0, 0)),
+    ((13, 0, 0, 0), (0, 0, 0, 0)),
+}
+
+
+def test_p13_universal_basis_is_fast_and_every_witness_reproduces_it():
+    ff = FiniteField(13, 1, (0, 1))
+    code = LinearCode.from_parity(ff, [[ff.from_int(c) for c in (1, 2, 3, 4)]])
+    start = time.perf_counter()
+    u = universal_basis(graver_ordinary(code))
+    elapsed = time.perf_counter() - start
+    assert pairs(u) == P13N4_UNIVERSAL
+    # about 0.5 s on a 2-core x86 VM, where a phase-one LP with one
+    # artificial per cone row took 16.8 s
+    assert elapsed < 5.0
+    # each witness weight orders a reduced basis that holds its element, led
+    # by the side the witness makes heavier
+    assert set(u.witnesses) == {b.canonical() for b in u.elements}
+    gens = build_ordinary_generators(code)
+    for b, w in u.witnesses.items():
+        lw = sum(a * c for a, c in zip(w, b.lhs))
+        rw = sum(a * c for a, c in zip(w, b.rhs))
+        assert lw != rw
+        stored = {e.canonical(): e for e in buchberger(gens, WeightOrder(w, degrevlex(len(w))))}
+        assert b in stored
+        assert stored[b].lhs == (b.lhs if lw > rw else b.rhs)
