@@ -36,7 +36,7 @@ from .groebner import buchberger
 from .matrices import build_He, build_Hplus_e, extend_with_pI, lawrence_lift
 from .orders import degrevlex, lex
 from .toric import toric_ideal
-from .universal import universal_basis, universal_basis_char2
+from .universal import universal_basis
 
 CACHE_SCHEMA = 1
 
@@ -259,11 +259,7 @@ def _compute(doc: Document, args) -> dict:
             out["elements"] = _elements_payload(graver.elements)
             return out
         if args.command == "ugb":
-            ub = (
-                universal_basis_char2(graver)
-                if args.shortcut_char2
-                else universal_basis(graver)
-            )
+            ub = universal_basis(graver)
             out["count"] = len(ub)
             out["elements"] = _elements_payload(ub.elements)
             return out
@@ -385,15 +381,14 @@ def run(doc: Document, args) -> dict:
     """The result payload of the job that `args` (parsed by build_parser) asks
     of `doc`: read from the cache, or computed and then cached."""
     header = _header(doc, args)
-    result = path = key = None
+    result = path = None
     if not args.no_cache:
-        key = {**header, "shortcut_char2": args.shortcut_char2}
-        path = _cache_path(args.cache_dir or default_cache_dir(), key)
-        result = _cache_read(path, key)
+        path = _cache_path(args.cache_dir or default_cache_dir(), header)
+        result = _cache_read(path, header)
     if result is None:
         result = {**header, **_compute(doc, args)}
         if path is not None:
-            _cache_write(path, key, result)
+            _cache_write(path, header, result)
     return result
 
 
@@ -411,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("toric", "generating set of the associated toric ideal"),
         ("rgb", "reduced Groebner basis of the code ideal"),
         ("graver", "Graver basis by completion on the code lattice"),
-        ("ugb", "universal Groebner basis via the cone sieve"),
+        ("ugb", "universal Groebner basis: closed form at p = 2, else the cone sieve"),
         ("verify", "cross-check the pipeline against the brute-force oracle"),
     ]:
         sp = sub.add_parser(name, help=desc)
@@ -423,10 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["text", "json"], default="text")
         sp.add_argument("--no-cache", action="store_true")
         sp.add_argument("--cache-dir", default=None)
-        if name == "ugb":
-            sp.add_argument("--shortcut-char2", action="store_true")
-        else:
-            sp.set_defaults(shortcut_char2=False)
     return parser
 
 

@@ -1,26 +1,56 @@
-"""Universal Groebner bases sieved out of a Graver basis.
+"""Universal Groebner bases as subsets of a Graver basis.
 
-Every Graver element is either discarded by the two-sided divisibility lemma,
-or gets an open polyhedral cone of weight vectors; the element belongs to some
-reduced basis iff that cone is non-empty.  Cone systems are decided exactly
-with the rational LP solver, and every positive answer carries a weight-vector
-witness that has been re-substituted into all strict inequalities.
+The universal basis is the union of all reduced Groebner bases, and it lies
+inside the Graver basis (Sturmfels, Groebner Bases and Convex Polytopes, 1996,
+Ch. 7).  `universal_basis` picks the route from the characteristic: p = 2
+takes the closed form below, every other p the cone sieve.
 
-A shortcut applies to generalized ideals in characteristic two: membership is
-then read off the shape of the binomial alone, no cones involved.
+Cone sieve (`cone_sieve`).  Every Graver element is either discarded by the
+two-sided divisibility lemma, or gets an open polyhedral cone of weight
+vectors; the element belongs to some reduced basis iff that cone is
+non-empty.  Cone systems are decided exactly with the rational LP solver, and
+every positive answer carries a weight-vector witness that has been
+re-substituted into all strict inequalities.
+
+Closed form at p = 2.  Both code ideals are lattice ideals of
+L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}.  A primitive vector
+of L is 2e_i for a nonzero column i of M mod 2, or a lift with entries in
+{-1, 0, 1} of a circuit S of the column matroid of M mod 2 (a zero column is
+a circuit of size one): any other d has 2e_i or a lift of a smaller support
+conformal to it.  So every Graver element is x_i^2 - 1, x^S - 1 or
+x^u - x^v with u + v = 1_S, and the universal basis keeps exactly:
+
+- x_i - 1 (column i zero).  x_i leads under every term order, and 1 is
+  standard, so x_i - 1 is in every reduced basis.
+- x_i^2 - 1 (column i nonzero).  Weigh x_i 1 and every other variable 2.
+  The only monomial below x_i is 1, and x_i - 1 is not in the ideal, so x_i
+  is standard and x_i^2 - 1 is in the reduced basis of every refinement.
+- x^u - x^v with u, v both nonzero.  Weigh every variable off S with K,
+  every one of supp(u) with a and every one of supp(v) with b, where
+  a, b > 0 satisfy 0 < |u|a - |v|b < 2a (b = 1 and a = |v|/(|u| - 1) if
+  |u| >= 2, else a = |v| + 1), and K exceeds the weight of x^S.  A monomial
+  lighter than K lives on S, and the only codewords supported in S are 0 and
+  1_S, so its congruence class there holds two 0/1 monomials, y and 1_S - y,
+  and everything else in it is heavier by at least 2 min(a, b).  The
+  standard monomial of the class is the lighter of the two.  Hence x^v is
+  standard (lighter than x^u), and so is every x^(u - e_j) with j in
+  supp(u), since it is lighter than x^(v + e_j) by 2a - (|u|a - |v|b) > 0.
+  So x^u is a minimal generator of the initial ideal with normal form x^v,
+  and x^u - x^v is in the reduced basis of every refinement.
+
+and drops x^S - 1 with |S| >= 2: for i in S the element x_i - x^(S - i)
+has both sides dividing x^S, so whichever side leads, it rewrites x^S (the
+lemma of the sieve).  The rule reads only the shape of each element, for
+both kinds; it carries no witnesses.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .binomials import GENERALIZED, Binomial, BinomialSet, InvariantError
+from .binomials import Binomial, BinomialSet, InvariantError
 from .graver import GraverBasis
 from .lp import feasible_point
-
-
-class WrongKindOrCharacteristicError(ValueError):
-    pass
 
 
 class ConeSystem:
@@ -193,7 +223,7 @@ def _oriented(g: Binomial) -> Binomial:
     return g
 
 
-def universal_basis(graver: GraverBasis) -> UniversalBasis:
+def cone_sieve(graver: GraverBasis) -> UniversalBasis:
     """Union of all reduced Groebner bases, computed by the cone sieve."""
     kept = []
     witnesses = {}
@@ -218,25 +248,21 @@ def universal_basis(graver: GraverBasis) -> UniversalBasis:
     return UniversalBasis(out, graver.kind, graver.code, witnesses)
 
 
-def universal_basis_char2(graver: GraverBasis) -> UniversalBasis:
-    """Shape-based shortcut, valid for generalized ideals over GF(2^r).
-
-    Keeps every element whose two sides are both nonconstant, plus the square
-    relations x_ij^2 - 1; everything else is dropped.
-    """
-    code = graver.code
-    if graver.kind != GENERALIZED or code.ff.p != 2:
-        raise WrongKindOrCharacteristicError(
-            "shortcut applies to generalized ideals in characteristic 2 only"
-        )
-    kept = []
-    for g in graver.elements:
-        lhs, rhs = g.lhs, g.rhs
-        if any(lhs) and any(rhs):
-            kept.append(g)
-            continue
-        side = lhs if any(lhs) else rhs
-        if sum(side) == 2 and max(side) == 2:
-            kept.append(g)
+def _closed_form_char2(graver: GraverBasis) -> UniversalBasis:
+    """The closed form at p = 2: drop exactly the one-sided elements whose
+    side has two or more variables (proof in the module docstring)."""
+    kept = [
+        g
+        for g in graver.elements
+        if (any(g.lhs) and any(g.rhs)) or sum(1 for e in g.lhs + g.rhs if e) == 1
+    ]
     out = BinomialSet(graver.elements.space, kept)
     return UniversalBasis(out, graver.kind, graver.code)
+
+
+def universal_basis(graver: GraverBasis) -> UniversalBasis:
+    """Union of all reduced Groebner bases: the closed form when p = 2, the
+    cone sieve otherwise."""
+    if graver.code.ff.p == 2:
+        return _closed_form_char2(graver)
+    return cone_sieve(graver)

@@ -289,10 +289,13 @@ def test_warm_verify_reproduces_the_cold_run(capsys, f3_path, tmp_path):
     assert warm == cold
 
 
-def test_compute_failure_exits_3(capsys, f3_path):
-    # the characteristic-2 shortcut refuses an ordinary job over GF(3)
-    rc, out, err = run_cli(capsys, "ugb", f3_path, "--no-cache", "--shortcut-char2")
-    assert rc == 3 and out == "" and "characteristic 2" in err
+def test_compute_failure_exits_3(capsys, tmp_path):
+    # the brute-force oracle of verify refuses a search over 5^12 vectors
+    p = tmp_path / "rep12.txt"
+    p.write_text("field p=2 r=1 modulus=0,1\nparity" + " 1" * 12 + "\n")
+    rc, out, err = run_cli(capsys, "verify", str(p), "--no-cache")
+    assert rc == 3 and out == ""
+    assert err.startswith("error: brute-force sweep of size") and "exceeds" in err
 
 
 def test_error_without_a_message_names_its_type(capsys, f3_path, monkeypatch):
@@ -311,8 +314,8 @@ def test_one_parser_serves_every_call_and_keeps_no_state(capsys, f3_path, monkey
         raise AssertionError("parser rebuilt")
 
     monkeypatch.setattr("codegb.cli.build_parser", rebuilt)
-    rc, _, _ = run_cli(capsys, "ugb", f3_path, "--no-cache", "--shortcut-char2", "--format", "json")
-    assert rc == 3
-    # neither the flag nor the format of the previous call carries over
+    rc, out, _ = run_cli(capsys, "ugb", f3_path, "--no-cache", "--kind", "generalized", "--format", "json")
+    assert rc == 0 and json.loads(out)["kind"] == "generalized"
+    # neither the kind nor the format of the previous call carries over
     rc, out, err = run_cli(capsys, "ugb", f3_path, "--no-cache")
     assert rc == 0 and err == "" and len(out.splitlines()) == 10

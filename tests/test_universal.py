@@ -1,5 +1,6 @@
-"""Cone sieve for universal Groebner bases, plus the characteristic-2 shortcut."""
+"""Universal Groebner bases: the cone sieve, and the closed form at p = 2."""
 
+import random
 import time
 
 import pytest
@@ -11,19 +12,19 @@ from codegb.binomials import (
     InvariantError,
     build_ordinary_generators,
 )
-from codegb.codes import LinearCode
-from codegb.fields import FiniteField
+from codegb.codes import LinearCode, rank
+from codegb.fields import DependentBasisError, FiniteField
 from codegb.graver import graver_generalized, graver_ordinary
 from codegb.groebner import buchberger
+from codegb.lp import feasible_point
 from codegb.orders import WeightOrder, degrevlex
 from codegb.universal import (
     ConeSystem,
-    WrongKindOrCharacteristicError,
     cone_is_empty,
     cone_rows,
+    cone_sieve,
     prune_by_lemma,
     universal_basis,
-    universal_basis_char2,
 )
 
 
@@ -133,14 +134,118 @@ def test_two_sided_cones_are_orientation_symmetric(code_f3):
 
 def test_char2_shortcut_matches_the_cone_route(rep2):
     graver = graver_generalized(rep2)
-    assert pairs(universal_basis_char2(graver)) == pairs(universal_basis(graver))
+    assert pairs(universal_basis(graver)) == pairs(cone_sieve(graver))
 
 
-def test_char2_shortcut_rejects_wrong_inputs(code_f3, code_f4):
-    with pytest.raises(WrongKindOrCharacteristicError):
-        universal_basis_char2(graver_ordinary(code_f4))  # right p, wrong kind
-    with pytest.raises(WrongKindOrCharacteristicError):
-        universal_basis_char2(graver_generalized(code_f3))  # right kind, wrong p
+def text(b, names):
+    """A binomial as the CLI prints it, larger side first."""
+
+    def mono(u):
+        parts = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, u) if e]
+        return "*".join(parts) or "1"
+
+    b = b.canonical()
+    return f"{mono(b.lhs)} - {mono(b.rhs)}"
+
+
+def parity_code(p, r, modulus, tokens):
+    ff = FiniteField(p, r, modulus)
+    row = [ff.alpha() if t == "a" else ff.from_int(int(t)) for t in tokens.split()]
+    return LinearCode.from_parity(ff, [row])
+
+
+@pytest.mark.parametrize(
+    "field,tokens,kind,count",
+    [
+        ((2, 2, (1, 1, 1)), "1 0 a", GENERALIZED, 36),
+        ((2, 2, (1, 1, 1)), "1 0 a", ORDINARY, 13),
+        ((2, 1, (0, 1)), "1 0", GENERALIZED, 2),
+        ((2, 1, (0, 1)), "1 0", ORDINARY, 2),
+    ],
+)
+def test_char2_closed_form_keeps_the_loops_of_zero_columns(field, tokens, kind, count):
+    # column 2 of the parity row is zero, so x[2,t] - 1 is in the ideal and
+    # x[2,t] leads under every order: each such element is in every reduced
+    # basis, as the sieve finds
+    code = parity_code(*field, tokens)
+    graver = graver_generalized(code) if kind == GENERALIZED else graver_ordinary(code)
+    u = universal_basis(graver)
+    assert u.elements == cone_sieve(graver).elements
+    assert len(u) == count
+    names = graver.elements.space.names()
+    kept = {text(b, names) for b in u.elements}
+    loops = {f"{n} - 1" for n in names if n.startswith("x[2,")}
+    assert loops and loops <= kept
+    if field[0:2] == (2, 1):
+        assert kept == {"x[1,1]^2 - 1", "x[2,1] - 1"}
+
+
+# GF(2), GF(4) and GF(8) under both primitive moduli of degree 3
+SWEEP_FIELDS = [(2, 1, (0, 1)), (2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)), (2, 3, (1, 0, 1, 1))]
+
+
+def _random_code(rng, max_vars):
+    """(kind, code) for a random full-rank parity matrix over GF(2), GF(4) or
+    GF(8), half the time under a random basis, with at most `max_vars`
+    variables in that kind.  Zero entries, and so zero columns, are drawn
+    like any other element."""
+    while True:
+        ff = FiniteField(*rng.choice(SWEEP_FIELDS))
+        if ff.r > 1 and rng.random() < 0.5:
+            basis = [ff.from_power(rng.randrange(1, ff.q)) for _ in range(ff.r)]
+            try:
+                ff = ff.with_basis(basis)
+            except DependentBasisError:
+                continue
+        kind = rng.choice([ORDINARY, GENERALIZED])
+        per_position = ff.r if kind == ORDINARY else ff.q - 1
+        if per_position > max_vars:
+            continue
+        n = rng.randint(1, max_vars // per_position)
+        m = rng.randint(1, n)
+        elements = ff.elements()
+        rows = [[rng.choice(elements) for _ in range(n)] for _ in range(m)]
+        if rank(ff, rows) == m:
+            return kind, LinearCode.from_parity(ff, rows)
+
+
+def test_char2_closed_form_equals_the_sieve_on_random_codes():
+    # 150 seeded codes with at most 8 variables; about 11 s on a 2-core x86
+    # VM, nearly all of it in the sieve and the Graver step (budget: 15 s)
+    rng = random.Random(6)
+    zero_columns = 0
+    for _ in range(150):
+        kind, code = _random_code(rng, 8)
+        graver = graver_generalized(code) if kind == GENERALIZED else graver_ordinary(code)
+        assert universal_basis(graver).elements == cone_sieve(graver).elements, (kind, code.H)
+        zero_columns += any(not any(col) for col in zip(*code.H))
+    assert zero_columns > 0
+
+
+def test_t7_drops_two_elements_on_farkas_certificates(monkeypatch):
+    # the first code on which the LP proves cones empty: 211 Graver elements,
+    # 97 pruned by the lemma, 112 kept and two dropped on Farkas vectors
+    infeasible = []
+
+    def counted(*args):
+        w = feasible_point(*args)
+        infeasible.append(w is None)
+        return w
+
+    monkeypatch.setattr("codegb.universal.feasible_point", counted)
+    ff = FiniteField(3, 1, (0, 1))
+    rows = [[ff.from_int(c) for c in row] for row in ((1, 1, 1, 0, 0, 0, 1), (0, 0, 1, 1, 2, 1, 2))]
+    graver = graver_ordinary(LinearCode.from_parity(ff, rows))
+    u = universal_basis(graver)
+    assert (len(graver), len(u)) == (211, 112)
+    assert sum(infeasible) == 2
+    names = graver.elements.space.names()
+    dropped = {
+        text(b, names)
+        for b in graver.elements
+        if b not in u.elements and not prune_by_lemma(b, graver)
+    }
+    assert dropped == {"x[2,1]*x[3,1]*x[7,1] - 1", "x[1,1]*x[3,1]*x[7,1] - 1"}
 
 
 # `codegb ugb` of "field p=13 r=1 modulus=0,1" / "parity 1 2 3 4", as stored
