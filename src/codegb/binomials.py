@@ -149,6 +149,19 @@ def generalized_space(n: int, q: int) -> VariableSpace:
     return VariableSpace(("x", (n, q - 1)))
 
 
+def slot_elements(ff: FiniteField, kind: str) -> tuple:
+    """The field elements that the variables x[j,1], x[j,2], ... of a position
+    stand for: the F_p-basis b_1..b_r in the ordinary code ideal (coordinate
+    projections), the powers alpha^1..alpha^(q-1) in the generalized one (the
+    crossing map).  Everything else that depends on the kind is built from
+    this list."""
+    if kind == ORDINARY:
+        return ff.basis
+    if kind == GENERALIZED:
+        return tuple(ff.from_power(t) for t in range(1, ff.q))
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def _drl_key(u):
     return (sum(u), tuple(-e for e in reversed(u)))
 
@@ -223,7 +236,7 @@ def initial_form(omega: Sequence, binom: Binomial) -> str:
 class BinomialSet:
     """Binomials over a common space, deduplicated up to orientation swap."""
 
-    __slots__ = ("space", "_elems")
+    __slots__ = ("space", "_elems", "_listing")
 
     def __init__(self, space: VariableSpace, binomials: Iterable[Binomial] = ()):
         elems = set()
@@ -235,9 +248,11 @@ class BinomialSet:
             elems.add(b.canonical())
         self.space = space
         self._elems = frozenset(elems)
+        # the set is immutable, so it is sorted once
+        self._listing = tuple(sorted(self._elems, key=lambda b: (sum(b.lhs), b.lhs, b.rhs)))
 
     def __iter__(self):
-        return iter(self.sorted())
+        return iter(self._listing)
 
     def __len__(self):
         return len(self._elems)
@@ -257,7 +272,7 @@ class BinomialSet:
 
     def sorted(self) -> list:
         """Deterministic listing: leading-side degree, then exponents."""
-        return sorted(self._elems, key=lambda b: (sum(b.lhs), b.lhs, b.rhs))
+        return list(self._listing)
 
     def union(self, other: "BinomialSet") -> "BinomialSet":
         if self.space != other.space:
@@ -283,28 +298,12 @@ def substitute_ones(s: BinomialSet, block: str) -> BinomialSet:
 
 
 def word_of_binomial(code, binom: Binomial, kind: str):
-    """The codeword encoded by lhs - rhs, or None when it is not in the code."""
-    ff = code.ff
-    d = [a - b for a, b in zip(binom.lhs, binom.rhs)]
-    if kind == ORDINARY:
-        r = ff.r
-        if len(d) != code.n * r:
-            raise DimensionMismatchError("expected n*r exponents")
-        word = []
-        for j in range(code.n):
-            e = ff.zero()
-            for t in range(r):
-                m = d[j * r + t]
-                if m % ff.p:
-                    e = e + ff.basis[t].times(m)
-            word.append(e)
-        word = tuple(word)
-    elif kind == GENERALIZED:
-        if len(d) != code.n * (ff.q - 1):
-            raise DimensionMismatchError("expected n*(q-1) exponents")
-        word = ff.cross_down(d)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    """The codeword encoded by lhs - rhs, or None when it is not in the code:
+    position j is sum_t (lhs - rhs)_(j,t) * slot_t over the slot elements."""
+    slots = slot_elements(code.ff, kind)
+    if len(binom.lhs) != code.n * len(slots):
+        raise DimensionMismatchError(f"expected {code.n} x {len(slots)} exponents")
+    word = code.ff.combine([a - b for a, b in zip(binom.lhs, binom.rhs)], slots)
     return word if code.contains(word) else None
 
 

@@ -5,8 +5,9 @@ Input documents are line oriented: a `field` line, then one `parity` or
 written `0`, `a`, `a^K` (1 <= K <= q-1) or a plain integer m standing for
 m*1; in particular `1` is the multiplicative unit a^(q-1).
 
-Results are cached on disk keyed by a content hash of the job; corrupt cache
-entries are reported on stderr and recomputed, never reused.
+Results are cached on disk keyed by a content hash of the job.  An entry that
+is not a JSON object of the right schema, key and job header, or whose result
+does not render, is reported on stderr as corrupt and recomputed.
 """
 
 from __future__ import annotations
@@ -213,29 +214,20 @@ def _compute(doc: Document, args) -> dict:
     code = doc.build_code()
     ff = doc.ff
     generalized = args.kind == GENERALIZED
-    base = build_Hplus_e(code) if generalized else build_He(code)
-    xshape = (code.n, ff.q - 1) if generalized else (code.n, ff.r)
     out: dict = {}
 
-    if args.command == "matrix":
-        out["matrices"] = {
-            "base": [list(base.row(i)) for i in range(base.nrows)],
-            "extended": [
-                list(m.row(i))
-                for m in (extend_with_pI(base, ff.p),)
-                for i in range(m.nrows)
-            ],
-            "lawrence": [
-                list(m.row(i))
-                for m in (lawrence_lift(base, ff.p),)
-                for i in range(m.nrows)
-            ],
-        }
-        return out
-
-    if args.command == "toric":
-        space = VariableSpace(Block("x", xshape), Block("y", base.nrows))
-        gens = toric_ideal(extend_with_pI(base, ff.p), space)
+    if args.command in ("matrix", "toric"):
+        base = build_Hplus_e(code) if generalized else build_He(code)
+        extended = extend_with_pI(base, ff.p)
+        if args.command == "matrix":
+            out["matrices"] = {
+                "base": [list(row) for row in base],
+                "extended": [list(row) for row in extended],
+                "lawrence": [list(row) for row in lawrence_lift(base, ff.p)],
+            }
+            return out
+        space = VariableSpace(Block("x", (code.n, base.ncols // code.n)), Block("y", base.nrows))
+        gens = toric_ideal(extended, space)
         out["variables"] = list(space.names())
         out["count"] = len(gens)
         out["elements"] = _elements_payload(gens)
@@ -352,12 +344,19 @@ def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
             raise ValueError("not a JSON object")
         if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key_fields:
             raise ValueError("schema or key mismatch")
-        if not isinstance(payload.get("result"), dict):
+        result = payload.get("result")
+        if not isinstance(result, dict):
             raise ValueError("result is not a JSON object")
-        return payload["result"]
-    except (OSError, ValueError, KeyError) as e:
-        print(f"warning: ignoring corrupt cache entry {path}: {e}", file=sys.stderr)
+        if any(result.get(k) != v for k, v in key_fields.items()):
+            raise ValueError("result does not carry the header of its key")
+        return result
+    except (OSError, ValueError) as e:
+        _warn_corrupt(path, e)
         return None
+
+
+def _warn_corrupt(path: str, why) -> None:
+    print(f"warning: ignoring corrupt cache entry {path}: {why}", file=sys.stderr)
 
 
 def _cache_write(path: str, key_fields: dict, result: dict) -> None:
@@ -377,19 +376,25 @@ def _cache_write(path: str, key_fields: dict, result: dict) -> None:
         print(f"warning: could not write cache entry {path}: {e}", file=sys.stderr)
 
 
-def run(doc: Document, args) -> dict:
+def run(doc: Document, args) -> tuple:
     """The result payload of the job that `args` (parsed by build_parser) asks
-    of `doc`: read from the cache, or computed and then cached."""
+    of `doc`, and its rendering in args.format: read from the cache, or
+    computed and then cached.  A cached result that does not render is
+    corrupt."""
     header = _header(doc, args)
-    result = path = None
+    path = None
     if not args.no_cache:
         path = _cache_path(args.cache_dir or default_cache_dir(), header)
         result = _cache_read(path, header)
-    if result is None:
-        result = {**header, **_compute(doc, args)}
-        if path is not None:
-            _cache_write(path, header, result)
-    return result
+        if result is not None:
+            try:
+                return result, render(args.format, result)
+            except Exception as e:
+                _warn_corrupt(path, f"result does not render: {type(e).__name__}: {e}")
+    result = {**header, **_compute(doc, args)}
+    if path is not None:
+        _cache_write(path, header, result)
+    return result, render(args.format, result)
 
 
 # ------------------------------------------------------------------ CLI entry
@@ -446,11 +451,11 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        result = run(doc, args)
+        result, text = run(doc, args)
     except Exception as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
-    sys.stdout.write(render(args.format, result))
+    sys.stdout.write(text)
     if args.command == "verify" and not result["agree"]:
         return 3
     return 0

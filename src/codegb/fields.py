@@ -299,20 +299,22 @@ class FiniteField:
     def cross_down(self, vec: Sequence[int]) -> tuple:
         """Map an integer vector of length n(q-1) to the word with positions
         sum_i v_{j,i} * alpha^i; entries may be negative, sums wrap mod p."""
-        qm1 = self.q - 1
-        if len(vec) % qm1:
-            raise ValueError(f"vector length {len(vec)} is not a multiple of q-1 = {qm1}")
-        p = self.p
+        return self.combine(vec, [FieldElement(self, k) for k in range(1, self.q)])
+
+    def combine(self, vec: Sequence[int], elements: Sequence[FieldElement]) -> tuple:
+        """The word whose position j is sum_t v_{j,t} * elements[t], reading vec
+        in blocks of len(elements); entries may be negative, sums wrap mod p."""
+        w = len(elements)
+        if len(vec) % w:
+            raise ValueError(f"vector length {len(vec)} is not a multiple of {w}")
+        coords = [self.poly_coords(e) for e in elements]
         word = []
-        for j in range(0, len(vec), qm1):
+        for j in range(0, len(vec), w):
             acc = [0] * self.r
-            for i in range(qm1):
-                m = vec[j + i] % p
+            for m, pc in zip(vec[j:j + w], coords):
                 if m:
-                    pc = self._pow_coords[i + 1]
-                    for t in range(self.r):
-                        acc[t] = (acc[t] + m * pc[t]) % p
-            word.append(self.from_poly_coords(tuple(acc)))
+                    acc = [a + m * c for a, c in zip(acc, pc)]
+            word.append(self.from_poly_coords(acc))
         return tuple(word)
 
     # -- misc -------------------------------------------------------------------

@@ -29,15 +29,14 @@ from .binomials import (
     Block,
     InvariantError,
     VariableSpace,
-    generalized_space,
-    ordinary_space,
+    slot_elements,
     split_pos_neg,
     substitute_ones,
     word_of_binomial,
 )
 from .codes import LinearCode
 from .groebner import buchberger
-from .matrices import build_He, build_Hplus_e, extend_with_pI, lawrence_lift
+from .matrices import build_He, build_Hplus_e, expansion, extend_with_pI, lawrence_lift
 from .orders import MonomialOrder, degrevlex
 from .toric import kernel_basis, toric_ideal
 
@@ -228,9 +227,10 @@ def _primitive_vectors(gens: Sequence[Sequence[int]], dim: int) -> list:
     return minimal.vectors
 
 
-def _completion(code: LinearCode, mat, space: VariableSpace, kind: str) -> GraverBasis:
+def _completion(code: LinearCode, mat, kind: str) -> GraverBasis:
     p = code.ff.p
     N = mat.ncols
+    space = VariableSpace(Block("x", (code.n, len(slot_elements(code.ff, kind)))))
     # (d, z) is in the kernel of (M | pI) exactly when M d = -p z, so the
     # first N coordinates of a kernel basis form a basis of L
     gens = [v[:N] for v in kernel_basis(extend_with_pI(mat, p))]
@@ -247,12 +247,12 @@ def _completion(code: LinearCode, mat, space: VariableSpace, kind: str) -> Grave
 
 def graver_ordinary(code: LinearCode) -> GraverBasis:
     """Graver basis of the code ideal (one variable per coordinate slot)."""
-    return _completion(code, build_He(code), ordinary_space(code.n, code.ff.r), ORDINARY)
+    return _completion(code, build_He(code), ORDINARY)
 
 
 def graver_generalized(code: LinearCode) -> GraverBasis:
     """Graver basis of the generalized code ideal (one variable per nonzero element)."""
-    return _completion(code, build_Hplus_e(code), generalized_space(code.n, code.ff.q), GENERALIZED)
+    return _completion(code, build_Hplus_e(code), GENERALIZED)
 
 
 def graver_lawrence(code: LinearCode, kind: str, order: Optional[MonomialOrder] = None) -> GraverBasis:
@@ -265,12 +265,8 @@ def graver_lawrence(code: LinearCode, kind: str, order: Optional[MonomialOrder] 
     on the x/y space, degrevlex by default; the result does not depend on it.
     """
     ff = code.ff
-    if kind == ORDINARY:
-        mat, xshape = build_He(code), (code.n, ff.r)
-    elif kind == GENERALIZED:
-        mat, xshape = build_Hplus_e(code), (code.n, ff.q - 1)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    slots = slot_elements(ff, kind)
+    mat, xshape = expansion(code, slots), (code.n, len(slots))
     stage = f"graver via Lawrence lifting ({kind})"
     lifted = lawrence_lift(mat, ff.p)
     space = VariableSpace(Block("x", xshape), Block("y", xshape), Block("z", mat.nrows))
@@ -303,32 +299,21 @@ def graver_bruteforce(code: LinearCode, kind: str) -> GraverBasis:
     incremental accumulation down the recursion.
     """
     ff = code.ff
-    p, q = ff.p, ff.q
-    if kind == ORDINARY:
-        space = ordinary_space(code.n, ff.r)
-        per_slot = list(ff.basis)
-    elif kind == GENERALIZED:
-        space = generalized_space(code.n, q)
-        per_slot = [ff.from_power(t) for t in range(1, q)]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    p = ff.p
+    slots = slot_elements(ff, kind)
+    space = VariableSpace(Block("x", (code.n, len(slots))))
     N = space.dim
     if (2 * p + 1) ** N > SEARCH_LIMIT:
         raise SearchSpaceTooLargeError(
             f"brute-force sweep of size (2p+1)^N = {(2 * p + 1) ** N} exceeds {SEARCH_LIMIT}"
         )
 
-    # syndrome of the unit difference vector for each variable slot
+    # syndrome of the unit difference vector of each variable: the slot element
+    # times column j of H
     m = code.m
-    idx2elt = [ff.zero()] + [ff.from_power(k) for k in range(1, q)]
+    idx2elt = ff.elements()
     add = [[(a + b).k for b in idx2elt] for a in idx2elt]
-    width = len(per_slot)
-    unit_syndromes = []
-    for j in range(code.n):
-        for t in range(width):
-            word = [ff.zero()] * code.n
-            word[j] = per_slot[t]
-            unit_syndromes.append(tuple(e.k for e in code._syndrome(word)))
+    unit_syndromes = [tuple((row[j] * b).k for row in code.H) for j in range(code.n) for b in slots]
 
     # scaled copies for every coefficient in [-p, p]
     scaled = []

@@ -1,12 +1,15 @@
 """Exact integer matrices and the code-to-lattice constructions.
 
 Expansions of a parity-check matrix over GF(p^r) into integer matrices over
-[0, p), their extension with p*I, and the p-Lawrence lifting.
+[0, p), one for each list of slot elements (binomials.slot_elements), their
+extension with p*I, and the p-Lawrence lifting.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .binomials import GENERALIZED, ORDINARY, slot_elements
 
 
 class IntMatrix:
@@ -81,32 +84,26 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     return IntMatrix([row for m in mats for row in m.entries], ncols=ncols)
 
 
-def build_He(code) -> IntMatrix:
-    """The mr x nr expansion: row (i,s), column (j,t) holds the s-th coordinate
-    of b_t * h_ij."""
+def expansion(code, slots) -> IntMatrix:
+    """The mr x n*len(slots) expansion of the parity rows over the slot
+    elements of a position: row (i,s), column (j,t) holds the s-th coordinate
+    of slot_t * h_ij."""
     ff = code.ff
     rows = []
-    for i in range(code.m):
-        cols = [ff.coords(b * h) for h in code.H[i] for b in ff.basis]
+    for hrow in code.H:
+        cols = [ff.coords(b * h) for h in hrow for b in slots]
         rows.extend([c[s] for c in cols] for s in range(ff.r))
-    return IntMatrix(rows, ncols=code.n * ff.r)
+    return IntMatrix(rows, ncols=code.n * len(slots))
+
+
+def build_He(code) -> IntMatrix:
+    """H_e, the expansion over the F_p-basis b_1..b_r."""
+    return expansion(code, slot_elements(code.ff, ORDINARY))
 
 
 def build_Hplus_e(code) -> IntMatrix:
-    """The mr x n(q-1) expansion: row (i,s), column (j,t) holds the s-th
-    coordinate of alpha^t * h_ij."""
-    ff = code.ff
-    qm1 = ff.q - 1
-    rows = []
-    for i in range(code.m):
-        for s in range(1, ff.r + 1):
-            out = []
-            for j in range(code.n):
-                h = code.H[i][j]
-                for t in range(1, qm1 + 1):
-                    out.append(ff.projection(ff.from_power(t) * h, s))
-            rows.append(out)
-    return IntMatrix(rows, ncols=code.n * qm1)
+    """H_{+,e}, the expansion over the powers alpha^1..alpha^(q-1)."""
+    return expansion(code, slot_elements(code.ff, GENERALIZED))
 
 
 def extend_with_pI(M: IntMatrix, p: int) -> IntMatrix:

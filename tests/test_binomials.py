@@ -18,6 +18,7 @@ from codegb.binomials import (
     generalized_space,
     initial_form,
     ordinary_space,
+    slot_elements,
     split_pos_neg,
     substitute_ones,
     word_of_binomial,
@@ -56,6 +57,15 @@ def test_canonical_orientation_and_dedup():
     s = BinomialSet(sp, [a, b])
     assert len(s) == 1
     assert a in s and b in s
+
+
+def test_listing_is_sorted_once_and_handed_out_as_a_copy():
+    sp = VariableSpace(Block("x", (3, 1)))
+    s = BinomialSet(sp, [Binomial((0, 0, 2), (1, 0, 0)), Binomial((1, 0, 0), (0, 1, 0))])
+    listing = s.sorted()
+    assert listing == sorted(listing, key=lambda b: (sum(b.lhs), b.lhs, b.rhs))
+    listing.clear()  # the caller's list is its own
+    assert list(s) == list(s) == s.sorted() and len(s.sorted()) == 2
 
 
 def test_purity_and_purified():
@@ -147,3 +157,9 @@ def test_generalized_generators_encode_codewords(code_f4):
 def test_word_of_binomial_rejects_noncode_differences(code_f3):
     g = Binomial((1, 0, 0), (0, 0, 0))  # x1 - 1, word (1,0,0) is not in the code
     assert word_of_binomial(code_f3, g, ORDINARY) is None
+
+
+def test_slot_elements_are_the_basis_or_the_powers(ff4, ff9):
+    assert slot_elements(ff4, ORDINARY) == (ff4.alpha(), ff4.one())
+    assert slot_elements(ff9, ORDINARY) == (ff9.one(), ff9.alpha())
+    assert slot_elements(ff9, GENERALIZED) == tuple(ff9.from_power(t) for t in range(1, 9))

@@ -237,6 +237,29 @@ def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, f3_path, tmp_pa
     assert isinstance(json.loads(entry.read_text())["result"], dict)
 
 
+@pytest.mark.parametrize(
+    "corrupt,why",
+    [
+        (lambda result: {}, "header"),
+        (lambda result: {"command": "graver"}, "header"),
+        (lambda result: {**result, "elements": [[1]]}, "does not render: ValueError"),
+    ],
+    ids=["empty", "command-only", "element-not-a-pair"],
+)
+def test_cache_result_that_is_no_payload_is_recomputed(capsys, f3_path, tmp_path, corrupt, why):
+    cache = tmp_path / "cache"
+    _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    entry = next(cache.glob("*.json"))
+    payload = json.loads(entry.read_text())
+    written = payload["result"]
+    payload["result"] = corrupt(written)  # schema and key match
+    entry.write_text(json.dumps(payload))
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    assert rc == 0 and out == first
+    assert "corrupt cache" in err and why in err
+    assert json.loads(entry.read_text())["result"] == written
+
+
 def test_mismatched_cache_key_is_rejected(capsys, f3_path, tmp_path):
     cache = tmp_path / "cache"
     run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))

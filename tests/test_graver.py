@@ -1,6 +1,8 @@
 """Graver bases by completion, cross-checked by the Lawrence route and by brute force."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,10 +10,10 @@ import time
 import pytest
 
 import codegb
-from codegb.binomials import GENERALIZED, ORDINARY, Binomial, word_of_binomial
+from codegb.binomials import GENERALIZED, ORDINARY, Binomial, slot_elements, word_of_binomial
 from codegb.cli import parse_input
-from codegb.codes import LinearCode
-from codegb.fields import FiniteField
+from codegb.codes import LinearCode, rank
+from codegb.fields import DependentBasisError, FiniteField, NonPrimitiveModulusError
 from codegb.graver import (
     GraverBasis,
     SearchSpaceTooLargeError,
@@ -111,6 +113,20 @@ def test_bruteforce_refuses_oversized_sweeps():
         graver_bruteforce(code, ORDINARY)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda code, kind: word_of_binomial(code, Binomial((1, 0, 0), (0, 0, 1)), kind),
+        graver_bruteforce,
+        graver_lawrence,
+    ],
+    ids=["word_of_binomial", "graver_bruteforce", "graver_lawrence"],
+)
+def test_an_unknown_kind_is_named(code_f3, call):
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        call(code_f3, "bogus")
+
+
 def test_basis_equality_is_kind_aware(code_f3):
     a = graver_ordinary(code_f3)
     b = graver_bruteforce(code_f3, ORDINARY)
@@ -160,6 +176,83 @@ def test_completion_agrees_with_the_lawrence_route_on_the_ladder(name):
     text, kind = LADDER[name]
     code = code_of(text)
     assert run(code, kind) == graver_lawrence(code, kind)
+
+
+# GF(2), GF(3), GF(4), GF(5), GF(7), GF(8) and GF(9) as (p, r)
+CROSS_CHECK_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+SWEEP_CAP = 2 * 10 ** 4  # the oracle takes up to about 0.3 s per code under it
+
+
+def primitive_moduli(p, r):
+    """Every monic modulus of degree r over F_p that makes alpha primitive."""
+    out = []
+    for low in itertools.product(range(p), repeat=r):
+        try:
+            FiniteField(p, r, low + (1,))
+        except NonPrimitiveModulusError:
+            continue
+        out.append(low + (1,))
+    return out
+
+
+def positions_under_cap(p, width):
+    """The most positions n for which (2p+1)^(n*width) stays within the cap."""
+    n = 0
+    while (2 * p + 1) ** ((n + 1) * width) <= SWEEP_CAP:
+        n += 1
+    return n
+
+
+def random_code(rng, moduli):
+    """(kind, code) for a random full-rank parity matrix over one of the
+    fields, under a random primitive modulus and half the time a random
+    basis, or None when the draw gives no code under the cap."""
+    p, r = rng.choice(CROSS_CHECK_FIELDS)
+    ff = FiniteField(p, r, rng.choice(moduli[p, r]))
+    if rng.random() < 0.5:
+        try:
+            ff = ff.with_basis([ff.from_power(rng.randrange(1, ff.q)) for _ in range(r)])
+        except DependentBasisError:
+            return None
+    kind = rng.choice([ORDINARY, GENERALIZED])
+    most = positions_under_cap(p, len(slot_elements(ff, kind)))
+    if not most:
+        return None
+    n = rng.randint(1, most)
+    m = rng.randint(1, n)
+    rows = [[rng.choice(ff.elements()) for _ in range(n)] for _ in range(m)]
+    if rank(ff, rows) < m:
+        return None
+    return kind, LinearCode.from_parity(ff, rows)
+
+
+def test_completion_equals_bruteforce_on_random_codes():
+    # 200 seeded codes; about 4 s on a 2-core x86 VM (budget: 15 s)
+    moduli = {f: primitive_moduli(*f) for f in CROSS_CHECK_FIELDS}
+    rng = random.Random(7)
+    seen, rebased = set(), set()
+    t0 = time.monotonic()
+    checked = 0
+    while checked < 200:
+        drawn = random_code(rng, moduli)
+        if drawn is None:
+            continue
+        kind, code = drawn
+        ff = code.ff
+        assert run(code, kind) == graver_bruteforce(code, kind), (kind, ff.modulus, ff.basis, code.H)
+        checked += 1
+        seen.add((ff.q, kind))
+        if ff.basis != FiniteField(ff.p, ff.r, ff.modulus).basis:
+            rebased.add(ff.q)
+    assert time.monotonic() - t0 < 15.0
+    # every slot list is run, and every basis but GF(2)'s only one is varied;
+    # the generalized ideals of GF(7), GF(8) and GF(9) have no code under the
+    # cap (their smallest sweeps are 15^6, 5^7 and 7^8)
+    fields = {p ** r for p, r in CROSS_CHECK_FIELDS}
+    assert {(q, kind) for q in fields for kind in (ORDINARY, GENERALIZED)} - seen == {
+        (7, GENERALIZED), (8, GENERALIZED), (9, GENERALIZED)
+    }
+    assert rebased == fields - {2}
 
 
 def timed(code, kind):
