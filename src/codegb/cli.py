@@ -349,10 +349,45 @@ def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
             raise ValueError("result is not a JSON object")
         if any(result.get(k) != v for k, v in key_fields.items()):
             raise ValueError("result does not carry the header of its key")
+        _check_shape(result)
         return result
     except (OSError, ValueError) as e:
         _warn_corrupt(path, e)
         return None
+
+
+# the element lists of each command's result
+_ELEMENT_LISTS = {
+    "toric": ("elements",),
+    "rgb": ("elements",),
+    "graver": ("elements",),
+    "ugb": ("elements",),
+    "verify": ("only_pipeline", "only_oracle"),
+}
+
+
+def _check_shape(result: dict) -> None:
+    """Raise ValueError unless every element list of the result holds pairs of
+    exponent lists, one exponent per variable, and `count` counts `elements`.
+    JSON renders any body, so this is what catches a malformed one there."""
+    keys = _ELEMENT_LISTS.get(result["command"], ())
+    variables = result.get("variables")
+    for key in keys:
+        elements = result.get(key)
+        if not isinstance(variables, list) or not isinstance(elements, list):
+            raise ValueError(f"{key} or variables is not a list")
+        width = len(variables)
+        if not all(
+            type(e) is list
+            and len(e) == 2
+            and type(e[0]) is list
+            and type(e[1]) is list
+            and len(e[0]) == len(e[1]) == width
+            for e in elements
+        ):
+            raise ValueError(f"{key} holds an element that is no pair of {width} exponents")
+    if "elements" in keys and result.get("count") != len(result["elements"]):
+        raise ValueError("count is not the number of elements")
 
 
 def _warn_corrupt(path: str, why) -> None:
@@ -410,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("matrix", "print the defining integer matrices"),
         ("toric", "generating set of the associated toric ideal"),
         ("rgb", "reduced Groebner basis of the code ideal"),
-        ("graver", "Graver basis by completion on the code lattice"),
+        ("graver", "Graver basis: circuit lifts at p = 2, else completion on the code lattice"),
         ("ugb", "universal Groebner basis: closed form at p = 2, else the cone sieve"),
         ("verify", "cross-check the pipeline against the brute-force oracle"),
     ]:

@@ -1,14 +1,39 @@
-"""Graver bases of code ideals by completion on the code lattice.
+"""Graver bases of code ideals: circuits at p = 2, completion at odd p.
 
 A binomial x^u - x^v lies in the ordinary (generalized) code ideal exactly
 when u - v lies in the lattice L = {d in Z^N : M d = 0 mod p}, with M the
 coordinate matrix H_e (the crossed matrix H_{+,e}), and the Graver basis of
 the ideal is the set of primitive vectors of L: the nonzero vectors to which
 no other nonzero lattice vector is conformal (u is conformal to d, u ⊑ d,
-when u_i d_i >= 0 and |u_i| <= |d_i| for every i).  They are computed in Z^N
-by the completion procedure of Pottier ("The Euclidean algorithm in dimension
-n", ISSAC 1996) and Hemmecke ("On the positive sum property and the
-computation of Graver test sets", Math. Prog. 96, 2002).
+when u_i d_i >= 0 and |u_i| <= |d_i| for every i).  The characteristic picks
+how they are found.
+
+At p = 2 they have a closed form.  Let D = ker(M mod 2), the binary code
+that L lifts; a circuit of the column matroid of M mod 2 is a minimal
+nonempty set S of columns that sum to zero, i.e. the support of a
+minimal-support word of D (a zero column is a circuit of size one).
+
+- Claim 1: a primitive d != +-2e_i has entries in {-1, 0, 1}.  Otherwise
+  some |d_i| >= 2, and the lattice vector sign(d_i) 2e_i is conformal to d.
+  And 2e_i is primitive exactly when column i is nonzero: the only smaller
+  vector conformal to it is e_i, which lies in L when column i is zero.
+- Claim 2: a primitive d with entries in {-1, 0, 1} has a circuit S as its
+  support.  d mod 2 is the word 1_S of D; were 1_S' in D for a nonempty
+  S' inside S, d cut down to S' would be a lattice vector conformal to d.
+- Claim 3: every +-1 lift d of a circuit S is primitive.  A nonzero lattice
+  vector u ⊑ d has entries in {-1, 0, 1} and 1_supp(u) in D, so
+  supp(u) = S by minimality, and u = d.
+
+So the Graver basis is {x_i^2 - 1 : column i nonzero} together with the
+2^(|S|-1) sign patterns, up to +-, of every circuit S, and `_circuit_lifts`
+lists them with no lattice basis and no completion.  A circuit has at most
+rank(M mod 2) + 1 elements.
+
+At odd p the primitive vectors are computed in Z^N by the completion
+procedure of Pottier ("The Euclidean algorithm in dimension n", ISSAC 1996)
+and Hemmecke ("On the positive sum property and the computation of Graver
+test sets", Math. Prog. 96, 2002), `_primitive_vectors`, which also serves
+the tests as the oracle of the circuit route.
 
 The paper's route, the toric ideal of the p-Lawrence lifting over the doubled
 x/y space with y set to 1 at the end, is kept as `graver_lawrence`, and an
@@ -19,6 +44,7 @@ both serve as independent cross-checks.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Optional, Sequence
 
 from .binomials import (
@@ -227,15 +253,54 @@ def _primitive_vectors(gens: Sequence[Sequence[int]], dim: int) -> list:
     return minimal.vectors
 
 
+def _circuit_lifts(mat) -> list:
+    """One of each pair +-d of the primitive vectors of L at p = 2: 2e_i for
+    every nonzero column i of M mod 2, and the +-1 lifts of every circuit,
+    with the sign of its smallest index fixed at +1."""
+    N = mat.ncols
+    cols = [sum((row[j] & 1) << i for i, row in enumerate(mat)) for j in range(N)]
+    out = [tuple(2 if k == i else 0 for k in range(N)) for i in range(N) if cols[i]]
+
+    def walk(T: list, xor: int, basis: list, start: int) -> None:
+        # T is independent, with `basis` a reduced echelon basis of its span
+        # (descending, distinct leading bits) and `xor` the sum of its columns.
+        # A later column equal to `xor` closes the circuit T + [j], which is
+        # so found exactly once, from its largest index
+        for j in range(start, N):
+            c = cols[j]
+            if c == xor:
+                S = T + [j]
+                for signs in itertools.product((1, -1), repeat=len(S) - 1):
+                    d = [0] * N
+                    for i, s in zip(S, (1,) + signs):
+                        d[i] = s
+                    out.append(tuple(d))
+                continue
+            for b in basis:
+                c = min(c, c ^ b)
+            if c:
+                walk(T + [j], xor ^ cols[j], sorted(basis + [c], reverse=True), j + 1)
+
+    walk([], 0, [], 0)
+    return out
+
+
 def _completion(code: LinearCode, mat, kind: str) -> GraverBasis:
+    """The Graver basis of L for the matrix `mat` of `kind`: by circuits at
+    p = 2, by completion otherwise; every element is checked either way."""
     p = code.ff.p
     N = mat.ncols
     space = VariableSpace(Block("x", (code.n, len(slot_elements(code.ff, kind)))))
-    # (d, z) is in the kernel of (M | pI) exactly when M d = -p z, so the
-    # first N coordinates of a kernel basis form a basis of L
-    gens = [v[:N] for v in kernel_basis(extend_with_pI(mat, p))]
-    out = BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in _primitive_vectors(gens, N)])
-    stage = f"graver completion ({kind})"
+    if p == 2:
+        stage = f"graver circuit lifts ({kind})"
+        vectors = _circuit_lifts(mat)
+    else:
+        stage = f"graver completion ({kind})"
+        # (d, z) is in the kernel of (M | pI) exactly when M d = -p z, so the
+        # first N coordinates of a kernel basis form a basis of L
+        gens = [v[:N] for v in kernel_basis(extend_with_pI(mat, p))]
+        vectors = _primitive_vectors(gens, N)
+    out = BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in vectors])
     for b in out:
         if word_of_binomial(code, b, kind) is None:
             raise InvariantError(stage, "element encodes no codeword", b)

@@ -13,12 +13,11 @@ every positive answer carries a weight-vector witness that has been
 re-substituted into all strict inequalities.
 
 Closed form at p = 2.  Both code ideals are lattice ideals of
-L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}.  A primitive vector
-of L is 2e_i for a nonzero column i of M mod 2, or a lift with entries in
-{-1, 0, 1} of a circuit S of the column matroid of M mod 2 (a zero column is
-a circuit of size one): any other d has 2e_i or a lift of a smaller support
-conformal to it.  So every Graver element is x_i^2 - 1, x^S - 1 or
-x^u - x^v with u + v = 1_S, and the universal basis keeps exactly:
+L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}, and by the closed
+form of their Graver basis (the `graver` module docstring, Claims 1-3) every
+Graver element is x_i^2 - 1 for a nonzero column i of M mod 2, or x^S - 1 or
+x^u - x^v with u + v = 1_S for a circuit S of the column matroid of M mod 2
+(a zero column is a circuit of size one).  The universal basis keeps exactly:
 
 - x_i - 1 (column i zero).  x_i leads under every term order, and 1 is
   standard, so x_i - 1 is in every reduced basis.

@@ -302,8 +302,8 @@ def small_code_sample(ff2, ff3):
 def test_criterion_06_oracle_equivalence(acceptance, small_code_sample, code_f4, f4_graver):
     with checklist(
         acceptance,
-        "6. completion route agrees with the exhaustive oracle on all 31 small codes "
-        "plus the quaternary crossed ideal, < 10min",
+        "6. Graver routes (circuits at p = 2, completion at odd p) agree with the "
+        "exhaustive oracle on all 31 small codes plus the quaternary crossed ideal, < 10min",
     ):
         t0 = time.monotonic()
         for code in small_code_sample:

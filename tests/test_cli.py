@@ -242,9 +242,13 @@ def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, f3_path, tmp_pa
     [
         (lambda result: {}, "header"),
         (lambda result: {"command": "graver"}, "header"),
-        (lambda result: {**result, "elements": [[1]]}, "does not render: ValueError"),
+        (lambda result: {**result, "elements": [[1]]}, "no pair of 3 exponents"),
+        (
+            lambda result: {**result, "elements": [[["a"] * 3, [0] * 3]] + result["elements"][1:]},
+            "does not render: TypeError",
+        ),
     ],
-    ids=["empty", "command-only", "element-not-a-pair"],
+    ids=["empty", "command-only", "element-not-a-pair", "exponent-not-a-number"],
 )
 def test_cache_result_that_is_no_payload_is_recomputed(capsys, f3_path, tmp_path, corrupt, why):
     cache = tmp_path / "cache"
@@ -258,6 +262,41 @@ def test_cache_result_that_is_no_payload_is_recomputed(capsys, f3_path, tmp_path
     assert rc == 0 and out == first
     assert "corrupt cache" in err and why in err
     assert json.loads(entry.read_text())["result"] == written
+
+
+def first_side_cut_short(result):
+    first, *rest = result["elements"]
+    return {**result, "elements": [[first[0][:-1], first[1]], *rest]}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command,corrupt,why",
+    [
+        ("graver", lambda result: {**result, "elements": [[1]]}, "no pair of 3 exponents"),
+        ("graver", lambda result: {**result, "elements": result["elements"][1:]}, "count is not"),
+        ("graver", lambda result: {**result, "count": 12}, "count is not"),
+        ("graver", first_side_cut_short, "no pair of 3 exponents"),
+        ("ugb", lambda result: {**result, "elements": None}, "not a list"),
+        ("verify", lambda result: {**result, "only_oracle": [[[1, 0, 0]]]}, "only_oracle holds"),
+        ("verify", lambda result: {**result, "only_pipeline": {}}, "not a list"),
+    ],
+    ids=["not-a-pair", "element-dropped", "count-off", "short-side", "ugb-elements", "verify-pair",
+         "verify-list"],
+)
+def test_cache_result_of_the_wrong_shape_is_recomputed(
+    capsys, f3_path, tmp_path, command, corrupt, why, fmt
+):
+    # JSON renders any body, so the shape is checked on the read path
+    cache = tmp_path / "cache"
+    _, first, _ = run_cli(capsys, command, f3_path, "--cache-dir", str(cache), "--format", fmt)
+    entry = next(cache.glob("*.json"))
+    payload = json.loads(entry.read_text())
+    payload["result"] = corrupt(payload["result"])  # schema and key match
+    entry.write_text(json.dumps(payload))
+    rc, out, err = run_cli(capsys, command, f3_path, "--cache-dir", str(cache), "--format", fmt)
+    assert rc == 0 and out == first
+    assert "corrupt cache" in err and why in err
 
 
 def test_mismatched_cache_key_is_rejected(capsys, f3_path, tmp_path):

@@ -1,4 +1,5 @@
-"""Graver bases by completion, cross-checked by the Lawrence route and by brute force."""
+"""Graver bases by circuit lifts at p = 2 and by completion at odd p,
+cross-checked by each other, by the Lawrence route and by brute force."""
 
 import itertools
 import os
@@ -10,18 +11,31 @@ import time
 import pytest
 
 import codegb
-from codegb.binomials import GENERALIZED, ORDINARY, Binomial, slot_elements, word_of_binomial
+from codegb.binomials import (
+    GENERALIZED,
+    ORDINARY,
+    Binomial,
+    BinomialSet,
+    InvariantError,
+    slot_elements,
+    split_pos_neg,
+    word_of_binomial,
+)
 from codegb.cli import parse_input
 from codegb.codes import LinearCode, rank
 from codegb.fields import DependentBasisError, FiniteField, NonPrimitiveModulusError
 from codegb.graver import (
     GraverBasis,
     SearchSpaceTooLargeError,
+    _primitive_vectors,
     graver_bruteforce,
     graver_generalized,
     graver_lawrence,
     graver_ordinary,
 )
+from codegb.matrices import build_He, build_Hplus_e, extend_with_pI
+from codegb.toric import kernel_basis
+from codegb.universal import universal_basis
 
 
 def pairs(basis):
@@ -203,11 +217,13 @@ def positions_under_cap(p, width):
     return n
 
 
-def random_code(rng, moduli):
+def random_code(rng, moduli, most_positions):
     """(kind, code) for a random full-rank parity matrix over one of the
-    fields, under a random primitive modulus and half the time a random
-    basis, or None when the draw gives no code under the cap."""
-    p, r = rng.choice(CROSS_CHECK_FIELDS)
+    fields that `moduli` maps to their primitive moduli, under a random one
+    of them and half the time a random basis, with at most
+    most_positions(p, variables per position) positions; None when the draw
+    gives no code."""
+    p, r = rng.choice(list(moduli))
     ff = FiniteField(p, r, rng.choice(moduli[p, r]))
     if rng.random() < 0.5:
         try:
@@ -215,7 +231,7 @@ def random_code(rng, moduli):
         except DependentBasisError:
             return None
     kind = rng.choice([ORDINARY, GENERALIZED])
-    most = positions_under_cap(p, len(slot_elements(ff, kind)))
+    most = most_positions(p, len(slot_elements(ff, kind)))
     if not most:
         return None
     n = rng.randint(1, most)
@@ -227,14 +243,16 @@ def random_code(rng, moduli):
 
 
 def test_completion_equals_bruteforce_on_random_codes():
-    # 200 seeded codes; about 4 s on a 2-core x86 VM (budget: 15 s)
+    # 200 seeded codes: the Graver route (circuit lifts at p = 2, completion at
+    # odd p) against the exhaustive oracle; about 4 s on a 2-core x86 VM
+    # (budget: 15 s)
     moduli = {f: primitive_moduli(*f) for f in CROSS_CHECK_FIELDS}
     rng = random.Random(7)
     seen, rebased = set(), set()
     t0 = time.monotonic()
     checked = 0
     while checked < 200:
-        drawn = random_code(rng, moduli)
+        drawn = random_code(rng, moduli, positions_under_cap)
         if drawn is None:
             continue
         kind, code = drawn
@@ -253,6 +271,90 @@ def test_completion_equals_bruteforce_on_random_codes():
         (7, GENERALIZED), (8, GENERALIZED), (9, GENERALIZED)
     }
     assert rebased == fields - {2}
+
+
+# GF(2), GF(4) and GF(8); 9 variables keep the completion under a second
+BINARY_FIELDS = [(2, 1), (2, 2), (2, 3)]
+COMPLETION_VARIABLES = 9
+
+
+def test_circuit_lifts_equal_the_completion_on_random_codes():
+    # 150 seeded binary codes, reaching the generalized GF(8) ideals that the
+    # exhaustive sweep cannot: the circuit route against the completion run on
+    # generators of the lattice; about 5 s on a 2-core x86 VM (budget: 20 s)
+    moduli = {f: primitive_moduli(*f) for f in BINARY_FIELDS}
+    rng = random.Random(8)
+    seen, rebased = set(), set()
+    zero_columns = 0
+    t0 = time.monotonic()
+    checked = 0
+    while checked < 150:
+        drawn = random_code(rng, moduli, lambda p, width: COMPLETION_VARIABLES // width)
+        if drawn is None:
+            continue
+        kind, code = drawn
+        ff = code.ff
+        mat = build_Hplus_e(code) if kind == GENERALIZED else build_He(code)
+        N = mat.ncols
+        gens = [v[:N] for v in kernel_basis(extend_with_pI(mat, 2))]
+        g = run(code, kind)
+        completion = BinomialSet(
+            g.elements.space, [Binomial(*split_pos_neg(v)) for v in _primitive_vectors(gens, N)]
+        )
+        assert g.elements == completion, (kind, ff.modulus, ff.basis, code.H)
+        checked += 1
+        seen.add((ff.q, kind))
+        zero_columns += any(not any(col) for col in zip(*mat))
+        if ff.basis != FiniteField(ff.p, ff.r, ff.modulus).basis:
+            rebased.add(ff.q)
+    assert time.monotonic() - t0 < 20.0
+    assert seen == {(q, kind) for q in (2, 4, 8) for kind in (ORDINARY, GENERALIZED)}
+    assert rebased == {4, 8} and zero_columns > 0
+
+
+def circuit_sizes(g):
+    """{|S|: number of circuits S} read off the +-1 elements of a binary
+    Graver basis, which has 2^(|S|-1) of them per circuit."""
+    lifts = {}
+    for b in g.elements:
+        if max(b.lhs + b.rhs) == 1:
+            size = sum(b.lhs + b.rhs)
+            lifts[size] = lifts.get(size, 0) + 1
+    return {size: count // 2 ** (size - 1) for size, count in lifts.items()}
+
+
+@pytest.mark.parametrize(
+    "text,kind,count,budget",
+    [
+        # bin11: 4.5 s by completion
+        (
+            "field p=2 r=1 modulus=0,1\n"
+            "parity 1 0 0 0 1 1 0 1 1 0 1\nparity 0 1 0 0 1 0 1 1 1 1 0\n"
+            "parity 0 0 1 0 0 1 1 1 0 1 1\nparity 0 0 0 1 1 1 1 0 1 1 1\n",
+            ORDINARY, 377, 1.0,
+        ),
+        # f8-n2: 56-69 s by completion
+        ("field p=2 r=3 modulus=1,1,0,1\nparity a 1\n", GENERALIZED, 1148, 1.0),
+    ],
+    ids=["bin11", "f8-n2"],
+)
+def test_binary_codes_past_the_completion(text, kind, count, budget):
+    g, elapsed = timed(code_of(text), kind)
+    assert len(g) == count and elapsed < budget
+
+
+def test_f8_n3_graver_and_universal_bases():
+    # no Graver basis in 10 min by completion; 21 squares x_i^2 - 1 and the
+    # sign lifts of 777 circuits, and the universal basis drops the 777
+    # one-sided x^S - 1
+    code = code_of("field p=2 r=3 modulus=1,1,0,1\nparity 1 a a^3\n")
+    t0 = time.monotonic()
+    g = graver_generalized(code)
+    u = universal_basis(g)
+    elapsed = time.monotonic() - t0
+    assert len(g) == 5355 and len(u) == 4578 and elapsed < 5.0
+    assert circuit_sizes(g) == {2: 21, 3: 189, 4: 567}
+    assert sum(1 for b in g.elements if max(b.lhs + b.rhs) == 2) == 21
 
 
 def timed(code, kind):
@@ -308,14 +410,17 @@ def test_generalized_quaternary_code_of_length_four():
     assert all(word_of_binomial(code, b, GENERALIZED) is not None for b in g)
 
 
-def test_invariant_checks_still_fire_under_python_O():
+def invariant_failure_under_python_O(p, row):
+    """The stage and message of the InvariantError that graver_ordinary raises
+    under python -O on the code with parity `row` over GF(p), when no element
+    passes for a codeword."""
     script = "\n".join([
         "import codegb.graver as graver",
         "from codegb import FiniteField, InvariantError, LinearCode",
         "assert False, 'python -O strips this'",
         "graver.word_of_binomial = lambda code, b, kind: None  # no element is a codeword",
-        "ff = FiniteField(3, 1, (0, 1))",
-        "code = LinearCode.from_parity(ff, [[ff.from_int(1), ff.from_int(2), ff.from_int(1)]])",
+        f"ff = FiniteField({p}, 1, (0, 1))",
+        f"code = LinearCode.from_parity(ff, [[ff.from_int(e) for e in {row!r}]])",
         "try:",
         "    graver.graver_ordinary(code)",
         "except InvariantError as e:",
@@ -328,9 +433,30 @@ def test_invariant_checks_still_fire_under_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    stage, message = out.stdout.splitlines()
+    return out.stdout.splitlines()
+
+
+def test_invariant_checks_still_fire_under_python_O():
+    stage, message = invariant_failure_under_python_O(3, [1, 2, 1])
     assert stage == "graver completion (ordinary)"
     assert message.startswith(stage + ": element encodes no codeword: Binomial(")
+
+
+def test_invariant_checks_still_fire_under_python_O_on_the_circuit_route():
+    stage, message = invariant_failure_under_python_O(2, [1, 1, 0])
+    assert stage == "graver circuit lifts (ordinary)"
+    assert message.startswith(stage + ": element encodes no codeword: Binomial(")
+
+
+def test_circuit_route_checks_minimality(monkeypatch):
+    # 2e_1 + 2e_2 lies in L and encodes the zero word, but 2e_1 is conformal to it
+    lifts = codegb.graver._circuit_lifts
+    monkeypatch.setattr(codegb.graver, "_circuit_lifts", lambda mat: lifts(mat) + [(2, 2, 0)])
+    ff = FiniteField(2, 1, (0, 1))
+    code = LinearCode.from_parity(ff, [[ff.one(), ff.one(), ff.zero()]])
+    with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
+        graver_ordinary(code)
+    assert e.value.stage == "graver circuit lifts (ordinary)"
 
 
 def test_completion_widens_its_fields_past_the_generators_entries():
@@ -338,8 +464,6 @@ def test_completion_widens_its_fields_past_the_generators_entries():
     # primitive (1, 0, 0, -8).  Whatever is conformal to a vector of a box lies
     # in the box, so the ⊑-minimal kernel vectors of [-8, 8]^4 are exactly the
     # primitive vectors inside it
-    from codegb.graver import _primitive_vectors
-
     got = {max(v, tuple(-e for e in v)) for v in _primitive_vectors(
         [(1, -2, 0, 0), (0, 1, -2, 0), (0, 0, 1, -2)], 4)}
     box = range(-8, 9)
