@@ -26,8 +26,10 @@ minimal-support word of D (a zero column is a circuit of size one).
 
 So the Graver basis is {x_i^2 - 1 : column i nonzero} together with the
 2^(|S|-1) sign patterns, up to +-, of every circuit S, and `_circuit_lifts`
-lists them with no lattice basis and no completion.  A circuit has at most
-rank(M mod 2) + 1 elements.
+lists them with no lattice basis and no completion.  The circuits are listed
+per connected component of the matroid (`_circuits`); a component of rank r
+and n columns takes at most min(2^(n-r), sum_{i <= r} C(n, i)) steps, which
+is not bounded by the number of circuits in general.
 
 At odd p the primitive vectors are computed in Z^N by the completion
 procedure of Pottier ("The Euclidean algorithm in dimension n", ISSAC 1996)
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Optional, Sequence
 
 from .binomials import (
@@ -253,6 +256,109 @@ def _primitive_vectors(gens: Sequence[Sequence[int]], dim: int) -> list:
     return minimal.vectors
 
 
+def _support(w: int) -> list:
+    return [i for i in range(w.bit_length()) if w >> i & 1]
+
+
+def _components(cols: list) -> list:
+    """(columns, fundamental circuits) of each connected component of the
+    binary matroid whose columns are packed as the ints `cols`, coloops left
+    out, both as bitmasks over column indices.
+
+    One elimination gives the fundamental circuit of every column that the
+    earlier ones span.  They form a basis of the code of the matroid, and the
+    elements of a component are linked through them.
+    """
+    basis, components = [], []  # basis: (reduced column, the columns it sums)
+    for j, c in enumerate(cols):
+        used = 1 << j
+        for b, bused in basis:  # descending, distinct leading bits
+            if c ^ b < c:
+                c ^= b
+                used ^= bused
+        if c:
+            basis = sorted(basis + [(c, used)], reverse=True)
+            continue
+        mask, inside, rest = used, [used], []
+        for comp in components:
+            if comp[0] & used:
+                mask |= comp[0]
+                inside += comp[1]
+            else:
+                rest.append(comp)
+        components = rest + [(mask, inside)]
+    return components
+
+
+def _independent(cols: list, idx: list) -> bool:
+    span = []  # reduced echelon: descending, distinct leading bits
+    for i in idx:
+        c = cols[i]
+        for b in span:
+            c = min(c, c ^ b)
+        if not c:
+            return False
+        span = sorted(span + [c], reverse=True)
+    return True
+
+
+def _circuits_by_words(cols: list, words: list, r: int) -> list:
+    """The circuits of a component of rank r whose code the `words` span:
+    every word, in Gray-code order, whose support S has at most r + 1
+    elements and whose columns but one are independent (rank |S| - 1)."""
+    out, w = [], 0
+    for g in range(1, 2 ** len(words)):
+        w ^= words[(g & -g).bit_length() - 1]
+        S = _support(w)
+        if len(S) <= r + 1 and _independent(cols, S[:-1]):
+            out.append(S)
+    return out
+
+
+def _circuits_by_walk(cols: list, idx: list) -> list:
+    """The circuits among the columns `idx`, by a depth-first walk over the
+    independent index sets T in increasing order: a later column j equal to
+    the sum of T closes the circuit T + [j], which is so found exactly once,
+    from its largest index."""
+    out = []
+
+    def walk(T: list, xor: int, span: list, start: int) -> None:
+        # `span` is a reduced echelon basis of the span of T, `xor` its sum
+        for pos in range(start, len(idx)):
+            j = idx[pos]
+            c = cols[j]
+            if c == xor:
+                out.append(T + [j])
+                continue
+            for b in span:
+                c = min(c, c ^ b)
+            if c:
+                walk(T + [j], xor ^ cols[j], sorted(span + [c], reverse=True), pos + 1)
+
+    walk([], 0, [], 0)
+    return out
+
+
+def _circuits(cols: list) -> list:
+    """The circuits, as ascending index lists, of the binary matroid whose
+    columns are packed as the ints `cols`.
+
+    Every circuit lies inside a connected component.  A component of n
+    columns and rank r spans a code of dimension k = n - r: its 2^k words, or
+    its independent sets, at most sum_{i <= r} C(n, i) of them, are walked,
+    whichever bound is smaller.
+    """
+    out = []
+    for mask, words in _components(cols):
+        idx = _support(mask)
+        r = len(idx) - len(words)
+        if 2 ** len(words) <= sum(math.comb(len(idx), i) for i in range(r + 1)):
+            out += _circuits_by_words(cols, words, r)
+        else:
+            out += _circuits_by_walk(cols, idx)
+    return out
+
+
 def _circuit_lifts(mat) -> list:
     """One of each pair +-d of the primitive vectors of L at p = 2: 2e_i for
     every nonzero column i of M mod 2, and the +-1 lifts of every circuit,
@@ -260,28 +366,12 @@ def _circuit_lifts(mat) -> list:
     N = mat.ncols
     cols = [sum((row[j] & 1) << i for i, row in enumerate(mat)) for j in range(N)]
     out = [tuple(2 if k == i else 0 for k in range(N)) for i in range(N) if cols[i]]
-
-    def walk(T: list, xor: int, basis: list, start: int) -> None:
-        # T is independent, with `basis` a reduced echelon basis of its span
-        # (descending, distinct leading bits) and `xor` the sum of its columns.
-        # A later column equal to `xor` closes the circuit T + [j], which is
-        # so found exactly once, from its largest index
-        for j in range(start, N):
-            c = cols[j]
-            if c == xor:
-                S = T + [j]
-                for signs in itertools.product((1, -1), repeat=len(S) - 1):
-                    d = [0] * N
-                    for i, s in zip(S, (1,) + signs):
-                        d[i] = s
-                    out.append(tuple(d))
-                continue
-            for b in basis:
-                c = min(c, c ^ b)
-            if c:
-                walk(T + [j], xor ^ cols[j], sorted(basis + [c], reverse=True), j + 1)
-
-    walk([], 0, [], 0)
+    for S in _circuits(cols):
+        for signs in itertools.product((1, -1), repeat=len(S) - 1):
+            d = [0] * N
+            for i, s in zip(S, (1,) + signs):
+                d[i] = s
+            out.append(tuple(d))
     return out
 
 

@@ -27,7 +27,12 @@ from codegb.fields import DependentBasisError, FiniteField, NonPrimitiveModulusE
 from codegb.graver import (
     GraverBasis,
     SearchSpaceTooLargeError,
+    _circuits,
+    _circuits_by_walk,
+    _circuits_by_words,
+    _components,
     _primitive_vectors,
+    _support,
     graver_bruteforce,
     graver_generalized,
     graver_lawrence,
@@ -355,6 +360,82 @@ def test_f8_n3_graver_and_universal_bases():
     assert len(g) == 5355 and len(u) == 4578 and elapsed < 5.0
     assert circuit_sizes(g) == {2: 21, 3: 189, 4: 567}
     assert sum(1 for b in g.elements if max(b.lhs + b.rhs) == 2) == 21
+
+
+def minimal_dependent_sets(cols):
+    """The circuits of the columns by definition: among all index sets whose
+    columns sum to zero, those with no smaller such set inside."""
+    zero = [m for m in range(1, 1 << len(cols)) if not _xor(cols[i] for i in _support(m))]
+    return sorted(_support(m) for m in zero if not any(z != m and z & m == z for z in zero))
+
+
+def _xor(cs):
+    out = 0
+    for c in cs:
+        out ^= c
+    return out
+
+
+def test_both_circuit_routes_list_the_minimal_dependent_sets():
+    # 400 seeded column sets of up to 11 columns and 6 rows, with zero and
+    # repeated columns; every component is listed both ways
+    rng = random.Random(11)
+    for _ in range(400):
+        n, rows = rng.randint(1, 11), rng.randint(1, 6)
+        cols = [rng.getrandbits(rows) if rng.random() > 0.1 else 0 for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            cols[rng.randrange(n)] = cols[rng.randrange(n)]
+        assert sorted(_circuits(cols)) == minimal_dependent_sets(cols), cols
+        for mask, words in _components(cols):
+            idx = _support(mask)
+            walked = _circuits_by_walk(cols, idx)
+            assert sorted(walked) == sorted(_circuits_by_words(cols, words, len(idx) - len(words)))
+
+
+def test_circuits_of_a_connected_matroid_of_high_rank_and_small_dimension():
+    # the graphic matroid of a theta graph, paths of 13, 13 and 14 edges
+    # between two vertices: rank 38, a code of dimension 2, three circuits;
+    # the walk alone would visit more than 2^38 independent sets
+    cols, vertex = [], 2
+    for length in (13, 13, 14):
+        path = [0] + list(range(vertex, vertex + length - 1)) + [1]
+        vertex += length - 1
+        cols += [1 << a | 1 << b for a, b in zip(path, path[1:])]
+    t0 = time.monotonic()
+    circuits = _circuits(cols)
+    assert time.monotonic() - t0 < 1.0
+    assert sorted(map(len, circuits)) == [26, 27, 27]
+    assert [(len(_support(m)), len(w)) for m, w in _components(cols)] == [(40, 2)]
+
+
+def parity_document(rows):
+    return "field p=2 r=1 modulus=0,1\n" + "".join(
+        "parity " + " ".join(map(str, row)) + "\n" for row in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "rows,count",
+    [
+        # x1 + x2, x3 + x4 and x_i for i = 5..30: rank 28, dimension 2, 26
+        # coloops; 30 squares and two lifts each of {1,2} and {3,4}
+        (
+            [[1, 1] + [0] * 28, [0, 0, 1, 1] + [0] * 26]
+            + [[int(j == i) for j in range(30)] for i in range(4, 30)],
+            34,
+        ),
+        # 20 copies of the [2,1] repetition code: rank 20, dimension 20, 20
+        # components
+        ([[int(j // 2 == i) for j in range(40)] for i in range(20)], 80),
+    ],
+    ids=["rank28-dim2", "20-repetition-codes"],
+)
+def test_binary_codes_of_high_rank_or_many_components(rows, count):
+    # 0.15 s and 0.3 s, as by completion; without the split into components,
+    # 2^20 words or 3^20 independent sets would be walked on the second code,
+    # and a walk over independent sets alone takes hours on the first
+    g, elapsed = timed(code_of(parity_document(rows)), ORDINARY)
+    assert len(g) == count and elapsed < 2.0
 
 
 def timed(code, kind):
