@@ -375,6 +375,45 @@ def _circuit_lifts(mat) -> list:
     return out
 
 
+def _unit_syndromes(code: LinearCode, slots) -> list:
+    """The syndrome of the unit vector of each variable x[j,t]: the slot
+    element t times column j of H."""
+    return [tuple(row[j] * b for row in code.H) for j in range(code.n) for b in slots]
+
+
+def _codeword_test(code: LinearCode, kind: str, degree: int):
+    """A test of whether x^u - x^v, both sides of degree at most `degree`,
+    encodes a codeword.  The syndrome of a side is packed into one integer,
+    a bit field per F_p-coordinate of its entries, as the sum of the packed
+    unit syndromes times the exponents; the word is a codeword when the
+    fields of the two sides agree mod p."""
+    ff = code.ff
+    p = ff.p
+    units = [[c for e in s for c in ff.poly_coords(e)] for s in _unit_syndromes(code, slot_elements(ff, kind))]
+    nfields = code.m * ff.r
+    width = ((p - 1) * degree).bit_length() + 1
+    mask = (1 << width) - 1
+    packed = [sum(c << (width * k) for k, c in enumerate(u)) for u in units]
+
+    def syndrome(side):
+        acc = 0
+        for e, unit in zip(side, packed):
+            if e:
+                acc += e * unit
+        return acc
+
+    def encodes(b) -> bool:
+        a, c = syndrome(b.lhs), syndrome(b.rhs)
+        for _ in range(nfields):
+            if ((a & mask) - (c & mask)) % p:
+                return False
+            a >>= width
+            c >>= width
+        return True
+
+    return encodes
+
+
 def _completion(code: LinearCode, mat, kind: str) -> GraverBasis:
     """The Graver basis of L for the matrix `mat` of `kind`: by circuits at
     p = 2, by completion otherwise; every element is checked either way."""
@@ -391,8 +430,9 @@ def _completion(code: LinearCode, mat, kind: str) -> GraverBasis:
         gens = [v[:N] for v in kernel_basis(extend_with_pI(mat, p))]
         vectors = _primitive_vectors(gens, N)
     out = BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in vectors])
+    encodes = _codeword_test(code, kind, max((max(sum(b.lhs), sum(b.rhs)) for b in out), default=0))
     for b in out:
-        if word_of_binomial(code, b, kind) is None:
+        if not encodes(b):
             raise InvariantError(stage, "element encodes no codeword", b)
         # p*e_i lies in L and is conformal to every d != +-p*e_i with |d_i| >= p
         if max(b.lhs + b.rhs) >= p and sum(b.lhs + b.rhs) != p:
@@ -468,7 +508,7 @@ def graver_bruteforce(code: LinearCode, kind: str) -> GraverBasis:
     m = code.m
     idx2elt = ff.elements()
     add = [[(a + b).k for b in idx2elt] for a in idx2elt]
-    unit_syndromes = [tuple((row[j] * b).k for row in code.H) for j in range(code.n) for b in slots]
+    unit_syndromes = [tuple(e.k for e in s) for s in _unit_syndromes(code, slots)]
 
     # scaled copies for every coefficient in [-p, p]
     scaled = []

@@ -1,19 +1,38 @@
-"""Buchberger's algorithm specialized to pure-difference binomials.
+"""Reduced Groebner bases of ideals generated by pure-difference binomials.
 
-Reducing a difference of monomials by differences of monomials again yields a
-difference (or zero), so the whole computation stays inside exponent-vector
-pairs.  Monomials are packed into single integers (one bit field per variable,
-with a guard bit) so divisibility, lcm and the reduction step are a handful of
-big-integer operations; the field width grows automatically if an exponent
-overflows.  One packed normal form serves Buchberger's reductions, the final
-autoreduction and `reduce`, which packs a basis once, on first use.  Pair
-selection follows the normal strategy (smallest lcm first, insertion index as
-tie-break) with the coprimality and chain criteria.
+When every variable is a unit modulo the ideal and the exponent differences
+u - v of the generators x^u - x^v span a lattice L of full rank, the quotient
+ring is finite and `buchberger` runs no S-pairs.  A unit variable makes the
+ideal equal to its saturation, which is the lattice ideal I_L (Eisenbud &
+Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996), so x^u = x^v modulo
+the ideal exactly when u - v lies in L, and there is one standard monomial
+per class of Z^N/L.  Both code ideals qualify: their generators contain
+x_ij^p - 1, or the field relations x_iu*x_iv - 1.  The reduced basis then
+comes from walking the standard monomials in increasing order, as FGLM does
+(Faugere, Gianni, Lazard & Mora, JSC 16, 1993; for codes, Borges-Quintana,
+Borges-Trenard & Martinez-Moro, LNCS 3857, 2006): a monomial t whose every
+t/x_i is standard is either the first of its class, and standard, or the
+leading monomial of the element t - std(class).  The class of a monomial is
+its exponent vector reduced by the Hermite normal form of L, and when that
+form splits into blocks over disjoint variables each block is walked alone.
+
+Otherwise (toric and Lawrence ideals, saturation) Buchberger's algorithm
+runs.  Reducing a difference of monomials by differences of monomials again
+yields a difference (or zero), so the whole computation stays inside
+exponent-vector pairs.  Monomials are packed into single integers (one bit
+field per variable, with a guard bit) so divisibility, lcm and the reduction
+step are a handful of big-integer operations; the field width grows
+automatically if an exponent overflows.  One packed normal form serves
+Buchberger's reductions, the final autoreduction and `reduce`, which packs a
+basis once, on first use.  Pair selection follows the normal strategy
+(smallest lcm first, insertion index as tie-break) with the coprimality and
+chain criteria.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Optional, Sequence
 
 from .binomials import Binomial, BinomialSet, InvariantError, VariableSpace
@@ -174,7 +193,178 @@ def buchberger(gens: BinomialSet, order: MonomialOrder) -> GroebnerBasis:
     if order.dim != space.dim:
         raise ValueError("order dimension disagrees with the variable space")
     binoms = gens.sorted()
-    return _widening(lambda width: _run(binoms, order, space, width))
+    hnf = _unit_lattice(binoms, space.dim)
+    if hnf is None:
+        return _widening(lambda width: _run(binoms, order, space, width))
+    # L is the direct sum of the lattices of its blocks, so the basis is the
+    # union of the blocks' bases, and each block has its own standard monomials
+    okey = order.key
+    elements = [b for cols in _blocks(hnf) for b in _walk(_Classes(hnf, cols), okey, space.dim)]
+    elements.sort(key=lambda b: okey(b.lhs))
+    return GroebnerBasis(space, order, elements)
+
+
+def _unit_lattice(binoms, dim: int) -> Optional[list]:
+    """The Hermite normal form of the lattice spanned by the differences u - v
+    of the generators x^u - x^v, as upper triangular rows with positive
+    diagonal and the entries above each diagonal entry d in [0, d); None
+    unless every variable occurs in a generator whose other side is 1 and
+    the lattice has full rank."""
+    zero = (0,) * dim
+    units = set()
+    for b in binoms:
+        for side, other in ((b.lhs, b.rhs), (b.rhs, b.lhs)):
+            if other == zero:
+                units.update(i for i, e in enumerate(side) if e)
+    if len(units) < dim:
+        return None
+    rows: dict = {}  # pivot column -> row
+    for b in binoms:
+        v = [a - c for a, c in zip(b.lhs, b.rhs)]
+        j = 0
+        while j < dim:
+            if not v[j]:
+                j += 1
+                continue
+            h = rows.get(j)
+            if h is None:
+                rows[j] = v if v[j] > 0 else [-e for e in v]
+                break
+            # unimodular step on (h, v): h takes gcd(h_j, v_j) at column j, v takes 0
+            g, s, t = _xgcd(h[j], v[j])
+            a, c = h[j] // g, v[j] // g
+            rows[j] = [s * x + t * y for x, y in zip(h, v)]
+            v = [a * y - c * x for x, y in zip(h, v)]
+    if len(rows) < dim:
+        return None
+    H = [rows[j] for j in range(dim)]
+    for j in range(dim):
+        d = H[j][j]
+        for i in range(j):
+            q = H[i][j] // d
+            if q:
+                H[i] = [x - q * y for x, y in zip(H[i], H[j])]
+    return H
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _blocks(H: list) -> list:
+    """The column sets of the blocks of H, the classes of the columns linked
+    by the nonzero entries of a row.  A Hermite normal form is unique, so
+    when L is a direct sum over a partition of the variables, its rows keep
+    to the parts."""
+    dim = len(H)
+    root = list(range(dim))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for j, row in enumerate(H):
+        for k in range(j + 1, dim):
+            if row[k]:
+                root[find(k)] = find(j)
+    blocks: dict = {}
+    for j in range(dim):
+        blocks.setdefault(find(j), []).append(j)
+    return list(blocks.values())
+
+
+class _Classes:
+    """The classes of Z^cols modulo the lattice spanned by the rows `cols` of
+    a Hermite normal form H of full rank, whose other columns they leave 0.
+    A class is keyed by its reduced vector (entry j in [0, H[j][j])) at the
+    columns whose diagonal entry exceeds 1; every other column reduces to 0,
+    and so do the entries of H in it."""
+
+    def __init__(self, H: list, cols: list):
+        self.cols = cols
+        free = [j for j in cols if H[j][j] > 1]
+        self.diag = [H[j][j] for j in free]
+        self.rows = [[H[j][f] for f in free] for j in free]
+        self.index = math.prod(self.diag)
+        self.origin = (0,) * len(free)
+        self.starts = {j: sum(1 for f in free if f < j) for j in cols}
+        self.images = {}  # the key of x_j
+        for j in cols:
+            r = [0] * len(H)
+            r[j] = 1
+            for k in cols:  # r stays 0 before column j
+                q = r[k] // H[k][k]
+                if q:
+                    r = [x - q * y for x, y in zip(r, H[k])]
+            self.images[j] = tuple(r[f] for f in free)
+
+    def step(self, key: tuple, j: int) -> tuple:
+        """The key of x^u * x_j from the key of x^u: add the key of x_j and
+        reduce from column j on."""
+        diag, rows = self.diag, self.rows
+        r = [a + b for a, b in zip(key, self.images[j])]
+        for t in range(self.starts[j], len(r)):
+            q = r[t] // diag[t]
+            if q:
+                row = rows[t]
+                for s in range(t, len(r)):
+                    r[s] -= q * row[s]
+        return tuple(r)
+
+
+def _walk(classes: _Classes, okey, dim: int) -> list:
+    """The reduced basis of the lattice ideal in the variables `classes.cols`
+    whose classes are `classes`, by walking its standard monomials in
+    increasing order of the key `okey`."""
+    stage = "standard-monomial walk"
+    cols, step = classes.cols, classes.step
+    zero = (0,) * dim
+    std = {classes.origin: zero}  # class key -> its standard monomial
+    # border monomial t -> how many standard t/x_i have been popped; when t
+    # is popped every smaller monomial has been, so t/x_i is standard for
+    # every i in the support of t exactly when the count is the support size
+    found = {}
+    heap: list = []
+
+    def push(s, key, support):
+        for j in cols:
+            t = s[:j] + (s[j] + 1,) + s[j + 1:]
+            c = found.get(t)
+            if c is None:
+                found[t] = 1
+                heapq.heappush(heap, (okey(t), t, key, j, support + (not s[j])))
+            else:
+                found[t] = c + 1
+
+    push(zero, classes.origin, 0)
+    elements = []
+    while heap:
+        _, t, key, j, support = heapq.heappop(heap)
+        if found[t] != support:
+            continue  # a proper divisor of t leads an element
+        key = step(key, j)
+        s = std.get(key)
+        if s is None:
+            std[key] = t
+            push(t, key, support)
+        elif s == t:
+            raise InvariantError(stage, "trail equals its leading monomial", t)
+        else:
+            elements.append(Binomial(t, s))
+    if len(std) != classes.index:
+        raise InvariantError(
+            stage, f"number of standard monomials is not the lattice index {classes.index}", len(std)
+        )
+    return elements
 
 
 def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> GroebnerBasis:

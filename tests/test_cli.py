@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: parsing, rendering, caching, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -153,6 +154,41 @@ def test_rgb_prints_the_leading_side_first(capsys, f3_path):
     order = lex(3)
     for lhs, rhs in doc["elements"]:
         assert order.compare(lhs, rhs) > 0
+
+
+def cyclic_doc(p, n, poly):
+    """The document of the cyclic code of length n over GF(p) generated by
+    `poly` (coefficients, constant term first): its shifts are the rows."""
+    k = n - len(poly) + 1
+    rows = [[0] * i + poly + [0] * (k - 1 - i) for i in range(k)]
+    return f"field p={p} r=1 modulus=0,1\n" + "".join(
+        "generator " + " ".join(map(str, row)) + "\n" for row in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "p,n,poly,degrevlex_count,budget",
+    [
+        # binary Golay [23,12], 1 + x + x^5 + x^6 + x^7 + x^9 + x^11: 2^11
+        # standard monomials; no result in 10 min by Buchberger
+        (2, 23, [1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1], 8878, 5.0),
+        # ternary Golay [11,6], 2 + x^2 + 2x^3 + x^4 + x^5: 3^5 standard
+        # monomials; 6-11 s by Buchberger
+        (3, 11, [2, 0, 1, 2, 1, 1], 352, 1.0),
+    ],
+    ids=["golay23", "tgolay"],
+)
+def test_rgb_of_the_golay_codes(capsys, tmp_path, p, n, poly, degrevlex_count, budget):
+    path = tmp_path / "golay.txt"
+    path.write_text(cyclic_doc(p, n, poly))
+    t0 = time.monotonic()
+    rc, out, _ = run_cli(capsys, "rgb", str(path), "--no-cache", "--format", "json")
+    elapsed = time.monotonic() - t0
+    assert rc == 0 and json.loads(out)["count"] == degrevlex_count
+    assert elapsed < budget
+    # under lex the first k variables lead x_i - x^w, and the other n - k lead x_i^p - 1
+    rc, out, _ = run_cli(capsys, "rgb", str(path), "--no-cache", "--order", "lex", "--format", "json")
+    assert rc == 0 and json.loads(out)["count"] == n
 
 
 def test_generalized_kind_is_respected(capsys, tmp_path):

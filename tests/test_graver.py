@@ -17,6 +17,8 @@ from codegb.binomials import (
     Binomial,
     BinomialSet,
     InvariantError,
+    build_generalized_generators,
+    build_ordinary_generators,
     slot_elements,
     split_pos_neg,
     word_of_binomial,
@@ -30,6 +32,7 @@ from codegb.graver import (
     _circuits,
     _circuits_by_walk,
     _circuits_by_words,
+    _codeword_test,
     _components,
     _primitive_vectors,
     _support,
@@ -431,9 +434,10 @@ def parity_document(rows):
     ids=["rank28-dim2", "20-repetition-codes"],
 )
 def test_binary_codes_of_high_rank_or_many_components(rows, count):
-    # 0.15 s and 0.3 s, as by completion; without the split into components,
-    # 2^20 words or 3^20 independent sets would be walked on the second code,
-    # and a walk over independent sets alone takes hours on the first
+    # about 5 ms each (0.11 s and 0.27 s while the codeword check ran on
+    # field elements); without the split into components, 2^20 words or
+    # 3^20 independent sets would be walked on the second code, and a walk
+    # over independent sets alone takes hours on the first
     g, elapsed = timed(code_of(parity_document(rows)), ORDINARY)
     assert len(g) == count and elapsed < 2.0
 
@@ -499,7 +503,7 @@ def invariant_failure_under_python_O(p, row):
         "import codegb.graver as graver",
         "from codegb import FiniteField, InvariantError, LinearCode",
         "assert False, 'python -O strips this'",
-        "graver.word_of_binomial = lambda code, b, kind: None  # no element is a codeword",
+        "graver._codeword_test = lambda code, kind, degree: lambda b: False  # no element is a codeword",
         f"ff = FiniteField({p}, 1, (0, 1))",
         f"code = LinearCode.from_parity(ff, [[ff.from_int(e) for e in {row!r}]])",
         "try:",
@@ -527,6 +531,38 @@ def test_invariant_checks_still_fire_under_python_O_on_the_circuit_route():
     stage, message = invariant_failure_under_python_O(2, [1, 1, 0])
     assert stage == "graver circuit lifts (ordinary)"
     assert message.startswith(stage + ": element encodes no codeword: Binomial(")
+
+
+def test_packed_codeword_test_agrees_with_word_of_binomial():
+    # 60 seeded codes over GF(2), GF(3), GF(4), GF(5), GF(7), GF(8) and
+    # GF(9), both kinds; on each, 40 random differences and 40 sums of two
+    # code-ideal generators and p times a random vector (codewords, with
+    # exponents past p)
+    moduli = {f: primitive_moduli(*f) for f in CROSS_CHECK_FIELDS}
+    rng = random.Random(17)
+    outcomes = set()
+    checked = 0
+    while checked < 60:
+        drawn = random_code(rng, moduli, lambda p, width: max(1, 6 // width))
+        if drawn is None:
+            continue
+        kind, code = drawn
+        p = code.ff.p
+        gens = (build_ordinary_generators if kind == ORDINARY else build_generalized_generators)(code).sorted()
+        N = len(gens[0].lhs)
+        vectors = [[rng.randint(-p, p) for _ in range(N)] for _ in range(40)]
+        for _ in range(40):
+            g, h = rng.choice(gens), rng.choice(gens)
+            vectors.append([a - b + c - d + p * rng.randint(-2, 2)
+                            for a, b, c, d in zip(g.lhs, g.rhs, h.lhs, h.rhs)])
+        binomials = [Binomial(*split_pos_neg(v)) for v in vectors if any(v)]
+        encodes = _codeword_test(code, kind, max(max(sum(b.lhs), sum(b.rhs)) for b in binomials))
+        for b in binomials:
+            want = word_of_binomial(code, b, kind) is not None
+            assert encodes(b) == want, (kind, code.ff.modulus, code.ff.basis, code.H, b)
+            outcomes.add(want)
+        checked += 1
+    assert outcomes == {True, False}
 
 
 def test_circuit_route_checks_minimality(monkeypatch):

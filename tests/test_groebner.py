@@ -1,9 +1,15 @@
-"""Buchberger engine: reduction, reduced bases, saturation."""
+"""Reduced bases (the standard-monomial walk and the S-pair loop),
+reduction and saturation."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+import codegb
 from codegb.binomials import (
     GENERALIZED,
     ORDINARY,
@@ -15,8 +21,21 @@ from codegb.binomials import (
     build_ordinary_generators,
     word_of_binomial,
 )
-from codegb.groebner import GroebnerBasis, buchberger, reduce, saturate_all, saturate_variable
-from codegb.orders import LexOrder, degrevlex, lex
+from codegb.codes import LinearCode
+from codegb.fields import FiniteField
+from codegb.groebner import (
+    GroebnerBasis,
+    _blocks,
+    _run,
+    _unit_lattice,
+    _widening,
+    buchberger,
+    reduce,
+    saturate_all,
+    saturate_variable,
+)
+from codegb.orders import GradedRevlexOrder, LexOrder, WeightOrder, degrevlex, lex
+from test_graver import primitive_moduli, random_code
 
 
 def space(n):
@@ -175,3 +194,180 @@ def test_saturation_accepts_a_positive_grading():
     s = bset(3, [((1, 1, 0), (0, 2, 0))])
     out = saturate_variable(s, 1, grading=(2, 1, 1))
     assert canon(out) == canon(bset(3, [((1, 0, 0), (0, 1, 0))]))
+
+
+def s_pair_loop(gens, order):
+    """The reduced basis by Buchberger's S-pair loop, whatever the input."""
+    binoms = gens.sorted()
+    return _widening(lambda width: _run(binoms, order, gens.space, width))
+
+
+WALK_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+def positions_for_the_walk(p, width):
+    """The most positions n with at most 12 variables and p^(n*width) <= 3^8,
+    which bounds the number of standard monomials."""
+    n = 0
+    while (n + 1) * width <= 12 and p ** ((n + 1) * width) <= 3 ** 8:
+        n += 1
+    return n
+
+
+def test_walk_equals_the_s_pair_loop_on_random_codes():
+    # 150 seeded codes over GF(2), GF(3), GF(4), GF(5) and GF(9), both kinds,
+    # under random primitive moduli and, half the time, a random basis; each
+    # under lex or degrevlex with a random precedence, and every tenth under
+    # a weight order on top.  The walk's element tuple, order included, must
+    # be the S-pair loop's.  About 3 s on a 2-core x86 VM (budget: 15 s)
+    moduli = {f: primitive_moduli(*f) for f in WALK_FIELDS}
+    rng = random.Random(9)
+    seen, rebased, kinds_of_order, split = set(), set(), set(), set()
+    t0 = time.monotonic()
+    checked = 0
+    while checked < 150:
+        drawn = random_code(rng, moduli, positions_for_the_walk)
+        if drawn is None:
+            continue
+        kind, code = drawn
+        ff = code.ff
+        gens = build_ordinary_generators(code) if kind == ORDINARY else build_generalized_generators(code)
+        dim = gens.space.dim
+        hnf = _unit_lattice(gens.sorted(), dim)
+        assert hnf is not None  # the walk's route
+        split.add(len(_blocks(hnf)) > 1)
+        precedence = rng.sample(range(dim), dim)
+        order = rng.choice([LexOrder, GradedRevlexOrder])(dim, precedence)
+        if checked % 10 == 0:
+            order = WeightOrder([rng.randrange(4) for _ in range(dim)], order)
+        got = buchberger(gens, order).elements
+        assert got == s_pair_loop(gens, order).elements, (kind, ff.modulus, ff.basis, code.H, order)
+        checked += 1
+        seen.add((ff.q, kind))
+        kinds_of_order.add(type(order))
+        if ff.basis != FiniteField(ff.p, ff.r, ff.modulus).basis:
+            rebased.add(ff.q)
+    assert time.monotonic() - t0 < 15.0
+    assert seen == {(p ** r, kind) for p, r in WALK_FIELDS for kind in (ORDINARY, GENERALIZED)}
+    assert rebased == {3, 4, 5, 9}  # GF(2) has one basis
+    assert kinds_of_order == {LexOrder, GradedRevlexOrder, WeightOrder}
+    assert split == {False, True}  # one block, and several walked apart
+
+
+def test_walk_equals_the_s_pair_loop_on_random_lattices():
+    # Code lattices contain pZ^N, so their class groups have exponent p and
+    # a class key never carries into a later column.  These do: 200 seeded
+    # ideals of 1-4 variables generated by x_i^c - 1 and random x^u - 1 and
+    # x^u - x^v, under lex or degrevlex with a random precedence
+    rng = random.Random(5)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        zero = (0,) * dim
+        pairs = [(tuple(rng.randint(1, 6) * (i == j) for i in range(dim)), zero) for j in range(dim)]
+        for _ in range(rng.randint(1, 3)):
+            u = tuple(rng.randrange(4) for _ in range(dim))
+            v = zero if rng.random() < 0.5 else tuple(rng.randrange(3) for _ in range(dim))
+            if u != v:
+                pairs.append((u, v))
+        gens = bset(dim, pairs)
+        assert _unit_lattice(gens.sorted(), dim) is not None
+        order = rng.choice([LexOrder, GradedRevlexOrder])(dim, rng.sample(range(dim), dim))
+        assert buchberger(gens, order).elements == s_pair_loop(gens, order).elements, (pairs, order)
+
+
+@pytest.mark.parametrize(
+    "rows,count",
+    [
+        # x1 + x2, x3 + x4 and x_i for i = 5..30: rank 28, 28 blocks
+        (
+            [[1, 1] + [0] * 28, [0, 0, 1, 1] + [0] * 26]
+            + [[int(j == i) for j in range(30)] for i in range(4, 30)],
+            30,
+        ),
+        # 20 copies of the [2,1] repetition code: rank 20, 20 blocks
+        ([[int(j // 2 == i) for j in range(40)] for i in range(20)], 40),
+    ],
+    ids=["rank28-dim2", "20-repetition-codes"],
+)
+def test_walk_runs_per_block_of_the_lattice(rows, count):
+    # 2^28 and 2^20 standard monomials in all, two in each block
+    ff = FiniteField(2, 1, (0, 1))
+    code = LinearCode.from_parity(ff, [[ff.from_int(e) for e in row] for row in rows])
+    for gens in (build_ordinary_generators(code), build_generalized_generators(code)):
+        dim = gens.space.dim
+        for order in (lex(dim), degrevlex(dim)):
+            t0 = time.monotonic()
+            got = buchberger(gens, order)
+            assert time.monotonic() - t0 < 1.0
+            assert len(got) == count
+            assert got.elements == s_pair_loop(gens, order).elements
+
+
+@pytest.mark.parametrize(
+    "gens,want",
+    [
+        ([((1, 0), (0, 1))], [((1, 0), (0, 1))]),  # x1 - x2: no variable is a unit
+        ([((1, 1), (0, 0))], [((1, 1), (0, 0))]),  # x1*x2 - 1: a lattice of rank 1 in Z^2
+    ],
+    ids=["no-unit", "rank-1-of-2"],
+)
+@pytest.mark.parametrize("order", [lex, degrevlex])
+def test_ideals_without_a_finite_quotient_take_the_s_pair_loop(monkeypatch, gens, want, order):
+    s = bset(2, gens)
+    assert _unit_lattice(s.sorted(), 2) is None
+
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(codegb.groebner, "_walk", no_walk)
+    assert [(b.lhs, b.rhs) for b in buchberger(s, order(2)).elements] == want
+
+
+def walk_failure_under_python_O(patch):
+    """The stage and message of the InvariantError that buchberger raises
+    under python -O on the ternary [3,2] code ideal after `patch` runs."""
+    script = "\n".join([
+        "import heapq",
+        "import types",
+        "import codegb.groebner as groebner",
+        "from codegb import FiniteField, InvariantError, LinearCode",
+        "from codegb.binomials import build_ordinary_generators",
+        "from codegb.orders import degrevlex",
+        "assert False, 'python -O strips this'",
+        patch,
+        "ff = FiniteField(3, 1, (0, 1))",
+        "code = LinearCode.from_parity(ff, [[ff.from_int(e) for e in (1, 2, 1)]])",
+        "try:",
+        "    groebner.buchberger(build_ordinary_generators(code), degrevlex(3))",
+        "except InvariantError as e:",
+        "    print(e.stage)",
+        "    print(e)",
+    ])
+    src = os.path.dirname(os.path.dirname(codegb.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "patch,problem",
+    [
+        (
+            "groebner._Classes.step = lambda self, key, j: key  # every monomial in the class of 1",
+            "number of standard monomials is not the lattice index 3: 1",
+        ),
+        (
+            "groebner.heapq = types.SimpleNamespace(heappop=heapq.heappop, heappush=lambda h, e: "
+            "[heapq.heappush(h, e) for _ in 'ab'])  # every border monomial is popped twice",
+            "trail equals its leading monomial: (",
+        ),
+    ],
+    ids=["count", "trail"],
+)
+def test_walk_invariants_still_fire_under_python_O(patch, problem):
+    stage, message = walk_failure_under_python_O(patch)
+    assert stage == "standard-monomial walk"
+    assert message.startswith(f"{stage}: {problem}")
