@@ -1,4 +1,5 @@
-"""Reduced Groebner bases of ideals generated by pure-difference binomials.
+"""Reduced Groebner bases of ideals generated by pure-difference binomials,
+and normal forms modulo them.
 
 When every variable is a unit modulo the ideal and the exponent differences
 u - v of the generators x^u - x^v span a lattice L of full rank, the quotient
@@ -15,6 +16,10 @@ t/x_i is standard is either the first of its class, and standard, or the
 leading monomial of the element t - std(class).  The class of a monomial is
 its exponent vector reduced by the Hermite normal form of L, and when that
 form splits into blocks over disjoint variables each block is walked alone.
+The basis keeps each block's table of standard monomials, so `reduce` finds
+the normal form of x^u, the standard monomial of u's class, by computing the
+class key of u and looking it up (Groebner decoding by coset leaders), at a
+cost that does not depend on the number of basis elements.
 
 Otherwise (toric and Lawrence ideals, saturation) Buchberger's algorithm
 runs.  Reducing a difference of monomials by differences of monomials again
@@ -23,32 +28,38 @@ exponent-vector pairs.  Monomials are packed into single integers (one bit
 field per variable, with a guard bit) so divisibility, lcm and the reduction
 step are a handful of big-integer operations; the field width grows
 automatically if an exponent overflows.  One packed normal form serves
-Buchberger's reductions, the final autoreduction and `reduce`, which packs a
-basis once, on first use.  Pair selection follows the normal strategy
-(smallest lcm first, insertion index as tie-break) with the coprimality and
-chain criteria.
+Buchberger's reductions, the final autoreduction and `reduce` on the bases
+that this loop makes, which `reduce` packs once, on first use.  Pair
+selection follows the normal strategy (smallest lcm first, insertion index
+as tie-break) with the coprimality and chain criteria.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from typing import Optional, Sequence
 
-from .binomials import Binomial, BinomialSet, InvariantError, VariableSpace
+from .binomials import Binomial, BinomialSet, DimensionMismatchError, InvariantError, VariableSpace
 from .orders import GradedRevlexOrder, MonomialOrder
 
 
 class GroebnerBasis:
-    """A reduced basis; each element is stored with its leading side first."""
+    """A reduced basis; each element is stored with its leading side first.
 
-    __slots__ = ("space", "order", "elements", "_packed")
+    A basis from the standard-monomial walk carries the walk's tables, one
+    (_Classes, class key -> standard monomial) pair per block; `reduce` reads
+    normal forms from them.  A basis from the S-pair loop carries none."""
 
-    def __init__(self, space: VariableSpace, order: MonomialOrder, elements: Sequence[Binomial]):
+    __slots__ = ("space", "order", "elements", "_tables", "_packed")
+
+    def __init__(self, space: VariableSpace, order: MonomialOrder, elements: Sequence[Binomial], tables=None):
         self.space = space
         self.order = order
         self.elements = tuple(elements)
-        self._packed = None  # _Packed of the elements, made by the first reduce
+        self._tables = tables
+        self._packed = None  # _Packed of the elements, made by the first reduce without tables
 
     @property
     def binomials(self) -> BinomialSet:
@@ -172,19 +183,41 @@ def _widening(attempt, width: int = 8):
 
 def reduce(binom: Binomial, basis: GroebnerBasis) -> Optional[Binomial]:
     """Normal form of a binomial; None when both sides collapse together."""
+    dim = basis.space.dim
+    if len(binom.lhs) != dim:
+        raise DimensionMismatchError(
+            f"binomial of length {len(binom.lhs)} reduced by a basis in {dim} variables"
+        )
+    if basis._tables is not None:
+        lhs, rhs = _standard(binom.lhs, basis._tables, dim), _standard(binom.rhs, basis._tables, dim)
+    else:
 
-    def sides(width):
-        pk = basis._packed
-        if pk is None or pk.width != width:
-            pk = basis._packed = _Packed(basis.space.dim, width, basis.elements)
-        return pk.normal_form(binom.lhs), pk.normal_form(binom.rhs)
+        def sides(width):
+            pk = basis._packed
+            if pk is None or pk.width != width:
+                pk = basis._packed = _Packed(dim, width, basis.elements)
+            return pk.normal_form(binom.lhs), pk.normal_form(binom.rhs)
 
-    lhs, rhs = _widening(sides, basis._packed.width if basis._packed else 8)
+        lhs, rhs = _widening(sides, basis._packed.width if basis._packed else 8)
     if lhs == rhs:
         return None
     if basis.order.compare(lhs, rhs) < 0:
         lhs, rhs = rhs, lhs
     return Binomial(lhs, rhs)
+
+
+def _standard(u, tables, dim: int) -> tuple:
+    """The standard monomial of the class of x^u: each block's, looked up by
+    the block's class key, on the block's variables."""
+    out = [0] * dim
+    for classes, std in tables:
+        key = classes.key(u)
+        s = std.get(key)
+        if s is None:
+            raise InvariantError("class lookup", "class key has no standard monomial", key)
+        for j in classes.cols:
+            out[j] = s[j]
+    return tuple(out)
 
 
 def buchberger(gens: BinomialSet, order: MonomialOrder) -> GroebnerBasis:
@@ -199,9 +232,14 @@ def buchberger(gens: BinomialSet, order: MonomialOrder) -> GroebnerBasis:
     # L is the direct sum of the lattices of its blocks, so the basis is the
     # union of the blocks' bases, and each block has its own standard monomials
     okey = order.key
-    elements = [b for cols in _blocks(hnf) for b in _walk(_Classes(hnf, cols), okey, space.dim)]
+    tables, elements = [], []
+    for cols in _blocks(hnf):
+        classes = _Classes(hnf, cols)
+        found, std = _walk(classes, okey, space.dim)
+        elements += found
+        tables.append((classes, std))
     elements.sort(key=lambda b: okey(b.lhs))
-    return GroebnerBasis(space, order, elements)
+    return GroebnerBasis(space, order, elements, tables)
 
 
 def _unit_lattice(binoms, dim: int) -> Optional[list]:
@@ -293,7 +331,9 @@ class _Classes:
         self.cols = cols
         free = [j for j in cols if H[j][j] > 1]
         self.diag = [H[j][j] for j in free]
-        self.rows = [[H[j][f] for f in free] for j in free]
+        # the nonzero entries (t, H[j][f]) of each row right of its diagonal,
+        # at the t-th free column f
+        self.tails = [[(t, H[j][f]) for t, f in enumerate(free) if f > j and H[j][f]] for j in free]
         self.index = math.prod(self.diag)
         self.origin = (0,) * len(free)
         self.starts = {j: sum(1 for f in free if f < j) for j in cols}
@@ -306,25 +346,36 @@ class _Classes:
                 if q:
                     r = [x - q * y for x, y in zip(r, H[k])]
             self.images[j] = tuple(r[f] for f in free)
+        # entry t of the key of x_j, along `cols`
+        self.columns = list(zip(*(self.images[j] for j in cols)))
+
+    def key(self, u) -> tuple:
+        """The key of x^u: the sum of the keys of its variables, reduced."""
+        e = [u[j] for j in self.cols]
+        return self._reduced([sum(map(operator.mul, c, e)) for c in self.columns], 0)
 
     def step(self, key: tuple, j: int) -> tuple:
         """The key of x^u * x_j from the key of x^u: add the key of x_j and
         reduce from column j on."""
-        diag, rows = self.diag, self.rows
-        r = [a + b for a, b in zip(key, self.images[j])]
-        for t in range(self.starts[j], len(r)):
-            q = r[t] // diag[t]
+        return self._reduced([a + b for a, b in zip(key, self.images[j])], self.starts[j])
+
+    def _reduced(self, r: list, start: int) -> tuple:
+        """r reduced by the rows from free column `start` on, to entries in
+        [0, diag); the entries before `start` must be reduced already."""
+        diag, tails = self.diag, self.tails
+        for t in range(start, len(r)):
+            q, r[t] = divmod(r[t], diag[t])
             if q:
-                row = rows[t]
-                for s in range(t, len(r)):
-                    r[s] -= q * row[s]
+                for s, h in tails[t]:
+                    r[s] -= q * h
         return tuple(r)
 
 
-def _walk(classes: _Classes, okey, dim: int) -> list:
+def _walk(classes: _Classes, okey, dim: int):
     """The reduced basis of the lattice ideal in the variables `classes.cols`
     whose classes are `classes`, by walking its standard monomials in
-    increasing order of the key `okey`."""
+    increasing order of the key `okey`; with it, the table that maps each
+    class key to its standard monomial."""
     stage = "standard-monomial walk"
     cols, step = classes.cols, classes.step
     zero = (0,) * dim
@@ -364,7 +415,7 @@ def _walk(classes: _Classes, okey, dim: int) -> list:
         raise InvariantError(
             stage, f"number of standard monomials is not the lattice index {classes.index}", len(std)
         )
-    return elements
+    return elements, std
 
 
 def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> GroebnerBasis:

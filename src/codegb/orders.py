@@ -7,6 +7,7 @@ most significant to least.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -89,10 +90,14 @@ class WeightOrder(MonomialOrder):
         self.dim = tie.dim
         self.weights = weights
         self.tie = tie
+        # the key sums integers: the weights times their common denominator,
+        # which orders monomials as the weights do
+        den = math.lcm(*(w.denominator for w in weights))
+        self._scaled = tuple(w.numerator * (den // w.denominator) for w in weights)
 
     def key(self, u):
         return (
-            sum(w * e for w, e in zip(self.weights, u)),
+            sum(w * e for w, e in zip(self._scaled, u)),
             self.tie.key(u),
         )
 

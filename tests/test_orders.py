@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from codegb.orders import GradedRevlexOrder, LexOrder, WeightOrder, degrevlex, lex
@@ -47,3 +50,19 @@ def test_unit_is_minimal():
         zero = (0, 0, 0)
         for u in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0)]:
             assert o.compare(u, zero) == 1
+
+
+def test_weight_order_keys_order_as_the_fraction_weights_do():
+    # the key sums integer weights scaled by their common denominator; the
+    # order must be the one of the Fraction weights, which stay public
+    rng = random.Random(4)
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        o = WeightOrder([Fraction(rng.randrange(8), rng.randint(1, 9)) for _ in range(dim)], degrevlex(dim))
+        assert all(type(w) is Fraction for w in o.weights)
+
+        def fraction_key(u):
+            return (sum(w * e for w, e in zip(o.weights, u)), o.tie.key(u))
+
+        vectors = list({tuple(rng.randrange(5) for _ in range(dim)) for _ in range(40)})
+        assert sorted(vectors, key=o.key) == sorted(vectors, key=fraction_key)

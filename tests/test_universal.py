@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -223,6 +224,31 @@ def test_char2_closed_form_equals_the_sieve_on_random_codes():
         zero_columns += any(not any(col) for col in zip(*code.H))
     assert time.monotonic() - t0 < 15.0
     assert zero_columns > 0
+
+
+@pytest.mark.parametrize(
+    "p,rows",
+    [(3, [[1, 1, 1, 0, 0, 0], [0, 0, 1, 1, 2, 1]]), (5, [[1, 2, 3, 4]])],
+    ids=["f3-n6", "f5-n4"],
+)
+def test_reduced_bases_under_random_weights_lie_in_the_universal_basis(p, rows):
+    # An oracle with no cones: the universal basis is the union of all
+    # reduced bases, so every one of them is a subset of it, however few
+    # are sampled.  50 seeded weight orders, degrevlex breaking ties; they
+    # reach 47 of 48 elements on f3-n6 and 33 of 34 on f5-n4
+    ff = FiniteField(p, 1, (0, 1))
+    code = LinearCode.from_parity(ff, [[ff.from_int(e) for e in row] for row in rows])
+    ugb = universal_basis(graver_ordinary(code)).elements
+    gens = build_ordinary_generators(code)
+    dim = gens.space.dim
+    rng = random.Random(3)
+    union = set()
+    for _ in range(50):
+        weights = [Fraction(rng.randrange(13), rng.randint(1, 6)) for _ in range(dim)]
+        for b in buchberger(gens, WeightOrder(weights, degrevlex(dim))).elements:
+            assert b in ugb, (weights, b)
+            union.add(b.canonical())
+    assert len(union) > len(buchberger(gens, degrevlex(dim)))  # the orders differ
 
 
 def test_t7_drops_two_elements_on_farkas_certificates(monkeypatch):
