@@ -1,4 +1,4 @@
-"""Graver bases of code ideals: circuits at p = 2, completion at odd p.
+"""Graver bases of code ideals: circuits at p = 2, codewords and bricks at odd p.
 
 A binomial x^u - x^v lies in the ordinary (generalized) code ideal exactly
 when u - v lies in the lattice L = {d in Z^N : M d = 0 mod p}, with M the
@@ -31,11 +31,77 @@ per connected component of the matroid (`_circuits`); a component of rank r
 and n columns takes at most min(2^(n-r), sum_{i <= r} C(n, i)) steps, which
 is not bounded by the number of circuits in general.
 
-At odd p the primitive vectors are computed in Z^N by the completion
-procedure of Pottier ("The Euclidean algorithm in dimension n", ISSAC 1996)
-and Hemmecke ("On the positive sum property and the computation of Graver
-test sets", Math. Prog. 96, 2002), `_primitive_vectors`, which also serves
-the tests as the oracle of the circuit route.
+At odd p the primitive vectors are built position by position from the
+codewords of C.  Position j has S variables, one per slot element s_1..s_S
+(`slot_elements`), and a vector d in Z^N splits into bricks d_j in Z^S.
+Write phi(t) = sum_k t_k s_k in GF(q) for a brick t; then d lies in L
+exactly when its word (phi(d_1), ..., phi(d_n)) is a codeword of C (this is
+`word_of_binomial`).  For a brick t, Sub(t) = {phi(u) : u ⊑ t}, a set that
+holds 0 and phi(t); t is zero-sum-free when phi(u) != 0 for every nonzero
+u ⊑ t, and a minimal zero-sum brick when phi(t) = 0 and every proper
+nonzero u ⊑ t is zero-sum-free.  A brick padded with zeros to position j is
+a vector of Z^N, and u ⊑ d exactly when u_j ⊑ d_j at every j.
+
+- Claim A: a primitive d with word 0 is one minimal zero-sum brick at a
+  position j whose column of H is nonzero, and each such is primitive.
+  Each brick of d has value 0, so each padded brick lies in L and is
+  conformal to d: there is only one, d_j, and it is minimal zero-sum.  Were
+  column j zero, every vector on position j would lie in L, among them a
+  unit ±e_(j,k) ⊑ d_j, which is not d_j since phi(±e_(j,k)) = ±s_k != 0.
+  Conversely, a lattice vector u ⊑ d_j lies on position j, and as s e_j is a
+  codeword only for s = 0 when column j is nonzero, phi(u) = 0, so u is 0
+  or d_j by minimality.
+- Claim B: a primitive d with word c != 0 has zero-sum-free bricks, and the
+  nonzero ones sit exactly on supp(c).  A nonzero u_j ⊑ d_j with value 0,
+  padded, lies in L and is conformal to d; it is not d, whose word is not 0.
+  A nonzero zero-sum-free brick has a nonzero value.
+- Claim C: a vector d with word c != 0 whose bricks are zero-sum-free is
+  primitive exactly when no codeword c' other than 0 and c has c'_j in
+  Sub(d_j) at every position j (Sub of the zero brick is {0}).  A lattice
+  vector u ⊑ d gives the codeword c' = (phi(u_j)), with c'_j in Sub(d_j);
+  c' = 0 forces every u_j = 0, and c' = c forces every d_j - u_j, a brick
+  ⊑ d_j of value 0, to vanish, both by zero-sum-freeness.  Conversely, such
+  a c' gives u ⊑ d by picking u_j ⊑ d_j of value c'_j, and u lies in L and
+  is neither 0 nor d.
+
+So the Graver basis is the minimal zero-sum bricks of Claim A together with,
+for every codeword c != 0, up to +-, each choice of one zero-sum-free brick
+of value c_j per position of supp(c) that passes Claim C; at p = 2, r = 1
+this reduces to Claims 1-3.  The bricks depend only on the field and the
+kind, and `_bricks` lists them by a depth-first walk that adds one signed
+slot at a time: t + ±e_k is zero-sum-free exactly when t is and -phi(±e_k)
+is not in Sub(t), and then Sub(t ± e_k) = Sub(t) ∪ (Sub(t) ± s_k).  Each step
+grows Sub, so the walk ends; in fact a zero-sum-free brick has at most
+r(p - 1) signed units, one less than the Davenport constant of (Z/p)^r, the
+additive group of GF(q) (Olson, "A combinatorial problem on finite abelian
+groups I", J. Number Theory 1, 1969).
+
+`_brick_vectors` decides Claim C for every codeword at once with bitsets.
+Let B[j][v] be the set of codewords whose entry j is v, and F(j, t) the
+union of B[j][v] over v in Sub(t).  For a codeword c, a depth-first search
+picks one brick per position of supp(c), and prunes a partial choice as soon
+as the intersection of the chosen F's, of B[j][0] ∪ B[j][c_j] at the
+support positions not yet chosen, and of B[j][0] off the support holds a
+codeword other than 0 and c.  Choosing a brick only grows the sets (Sub(t)
+holds 0 and c_j), so a pruned choice has no primitive completion, and every
+leaf is primitive by Claim C: no sort and no conformal filter.  The
+codewords are enumerated per connected component of the column matroid of
+a generator matrix (`_code_components`): C is the direct sum of the
+components' codes, L the direct sum of their lattices, and the primitive
+vectors of a direct sum are those of its parts, since a vector with nonzero
+parts d_1 and d_2 has d_1 ⊑ d in the lattice.  A code that is many copies
+of a small one thus costs the copies' codewords, not their product; but a
+component of dimension k costs q^k codewords, each tested on sets of q^k
+bits, whatever the size of its Graver basis.
+Building primitive vectors from per-block pieces follows the decomposition
+of test sets of Hemmecke and Schultz ("Decomposition of test sets in
+stochastic integer programming", Math. Prog. 94, 2003).
+
+The completion procedure of Pottier ("The Euclidean algorithm in dimension
+n", ISSAC 1996) and Hemmecke ("On the positive sum property and the
+computation of Graver test sets", Math. Prog. 96, 2002), `_primitive_vectors`,
+computes primitive vectors in Z^N from any lattice basis; it serves the
+tests as the oracle of both routes.
 
 The paper's route, the toric ideal of the p-Lawrence lifting over the doubled
 x/y space with y set to 1 at the end, is kept as `graver_lawrence`, and an
@@ -63,11 +129,11 @@ from .binomials import (
     substitute_ones,
     word_of_binomial,
 )
-from .codes import LinearCode
+from .codes import LinearCode, _rref, nullspace
 from .groebner import buchberger
-from .matrices import build_He, build_Hplus_e, expansion, extend_with_pI, lawrence_lift
+from .matrices import build_He, build_Hplus_e, expansion, lawrence_lift
 from .orders import MonomialOrder, degrevlex
-from .toric import kernel_basis, toric_ideal
+from .toric import toric_ideal
 
 SEARCH_LIMIT = 10 ** 8
 
@@ -375,6 +441,162 @@ def _circuit_lifts(mat) -> list:
     return out
 
 
+def _additive(ff) -> tuple:
+    """(label, add, neg): label[k] is the label of the element with power
+    index k, its F_p-coordinates read as base-p digits, so that the labels
+    0..q-1 form the group (Z/p)^r, with its addition table and negation."""
+    p, q = ff.p, ff.q
+    powers = [p ** i for i in range(ff.r)]
+    add = [[sum((x // w + y // w) % p * w for w in powers) for y in range(q)] for x in range(q)]
+    neg = [sum(-(x // w) % p * w for w in powers) for x in range(q)]
+    label = [sum(c * w for c, w in zip(ff.poly_coords(e), powers)) for e in ff.elements()]
+    return label, add, neg
+
+
+def _bricks(slots: list, add: list, neg: list) -> tuple:
+    """(free, minimal) for the slot elements of one position, given by label.
+
+    free[v] lists (t, sub) for every zero-sum-free brick t with phi(t) = v,
+    where sub is Sub(t) as a bitmask over labels; minimal lists the minimal
+    zero-sum bricks, one of each pair +-t.  A depth-first walk adds signed
+    slots in a fixed order, never one slot with both signs: t + s is
+    zero-sum-free exactly when t is and -phi(s) is not in Sub(t), and then
+    Sub(t + s) is Sub(t) together with its translate by phi(s).  A
+    zero-sum-free t with phi(t + s) = 0 makes t + s a minimal zero-sum
+    brick, since a sub-brick u + s with u ⊑ t and value 0 has
+    phi(t - u) = 0, so u = t; and every minimal zero-sum brick is so found,
+    from the brick it leaves without its last signed slot.
+    """
+    q, S = len(add), len(slots)
+    signed = [(k, sign, v if sign > 0 else neg[v]) for k, v in enumerate(slots) for sign in (1, -1)]
+    free = [[] for _ in range(q)]
+    minimal = []
+
+    def walk(t: list, value: int, sub: int, start: int) -> None:
+        for i in range(start, len(signed)):
+            k, sign, v = signed[i]
+            if t[k] * sign < 0:
+                continue
+            t[k] += sign
+            row = add[v]
+            if sub >> neg[v] & 1:
+                if row[value] == 0 and next(e for e in t if e) > 0:
+                    minimal.append(tuple(t))
+            else:
+                grown = sub
+                for x in range(q):
+                    if sub >> x & 1:
+                        grown |= 1 << row[x]
+                free[row[value]].append((tuple(t), grown))
+                walk(t, row[value], grown, i)
+            t[k] -= sign
+
+    walk([0] * S, 0, 1, 0)
+    return free, minimal
+
+
+def _code_components(code: LinearCode) -> list:
+    """(positions, generator rows on them) of each connected component of the
+    column matroid of a generator matrix of the code, a zero column being a
+    component with no rows.  Rows of the reduced row echelon form whose
+    supports meet are merged: the code is the direct sum of the codes that
+    the merged rows span, and the supports are the fundamental circuits of
+    the pivot basis, which link exactly the elements of a component."""
+    ff = code.ff
+    G = code.G if code.G is not None else nullspace(ff, code.H, code.n)
+    rows, _ = _rref(ff, G)
+    comp = {j: {j} for j in range(code.n)}
+    for row in rows:
+        merged = set().union(*(comp[j] for j, e in enumerate(row) if e))
+        for j in merged:
+            comp[j] = merged
+    out = []
+    for j in range(code.n):
+        if min(comp[j]) == j:
+            P = sorted(comp[j])
+            out.append((P, [[row[i] for i in P] for row in rows if any(row[i] for i in P)]))
+    return out
+
+
+def _codewords(rows: list, n: int, elements: list, label: list, add: list) -> tuple:
+    """(cols, B) for the code of length n that `rows` span: codeword i has
+    the base-q digits of i, read as `elements`, as its coefficients on the
+    rows; cols[j][i] is its entry j, and B[j][v] the bitmask of the codewords
+    whose entry j is v.  Both grow by one row at a time, by integer
+    additions."""
+    cols = [[0] for _ in range(n)]
+    B = [{0: 1} for _ in range(n)]
+    for row in rows:
+        Q = len(cols[0])
+        for j, col in enumerate(cols):
+            base, grown = col[:], {}
+            for m, c in enumerate(elements):
+                s = label[(c * row[j]).k]
+                if m:
+                    col += map(add[s].__getitem__, base)
+                for v, bits in B[j].items():
+                    w = add[v][s]
+                    grown[w] = grown.get(w, 0) | bits << (m * Q)
+            B[j] = grown
+    return cols, B
+
+
+def _brick_vectors(code: LinearCode, kind: str) -> list:
+    """One of each pair +-d of the primitive vectors of L at odd p: the
+    minimal zero-sum bricks at every position with a nonzero column of H
+    (Claim A), and per component of the code, for each codeword c, one of
+    each pair +-c, the choices of one zero-sum-free brick of value c_j per
+    position j of supp(c) that pass the test of Claim C."""
+    ff = code.ff
+    label, add, neg = _additive(ff)
+    slots = [label[s.k] for s in slot_elements(ff, kind)]
+    free, minimal = _bricks(slots, add, neg)
+    S = len(slots)
+    N = code.n * S
+    out = [(0,) * (j * S) + z + (0,) * (N - (j + 1) * S)
+           for j in range(code.n) if any(row[j] for row in code.H) for z in minimal]
+    for P, rows in _code_components(code):
+        cols, B = _codewords(rows, len(P), ff.elements(), label, add)
+        F = {}  # (j, Sub(t)) -> F(j, t)
+
+        def extend(l: int, mask: int, chosen: list) -> None:
+            # mask: the codewords other than 0 and c that fit the bricks
+            # chosen so far, at their positions
+            j = supp[l]
+            for t, sub in free[c[j]]:
+                f = F.get((j, sub))
+                if f is None:
+                    f = F[j, sub] = sum(bits for v, bits in B[j].items() if sub >> v & 1)
+                if mask & f & suffix[l + 1]:
+                    continue
+                if l + 1 < len(supp):
+                    extend(l + 1, mask & f, chosen + [t])
+                    continue
+                d = [0] * N
+                for i, brick in zip(supp, chosen + [t]):
+                    d[P[i] * S:P[i] * S + S] = brick
+                out.append(tuple(d))
+
+        for i in range(1, len(cols[0])):
+            c = [col[i] for col in cols]
+            supp = [j for j, v in enumerate(c) if v]
+            if neg[c[supp[0]]] < c[supp[0]]:
+                continue  # -c is taken instead
+            # suffix[l]: the codewords other than 0 and c with entry 0 or c_j
+            # at the positions supp[l:], and 0 off the support
+            others = (1 << len(cols[0])) - 1 ^ (1 | 1 << i)
+            suffix = [others]
+            for j, v in enumerate(c):
+                if not v:
+                    suffix[0] &= B[j][0]
+            for j in reversed(supp):
+                suffix.append(suffix[-1] & (B[j][0] | B[j][c[j]]))
+            suffix.reverse()
+            if not suffix[0]:
+                extend(0, others, [])
+    return out
+
+
 def _unit_syndromes(code: LinearCode, slots) -> list:
     """The syndrome of the unit vector of each variable x[j,t]: the slot
     element t times column j of H."""
@@ -414,21 +636,18 @@ def _codeword_test(code: LinearCode, kind: str, degree: int):
     return encodes
 
 
-def _completion(code: LinearCode, mat, kind: str) -> GraverBasis:
-    """The Graver basis of L for the matrix `mat` of `kind`: by circuits at
-    p = 2, by completion otherwise; every element is checked either way."""
+def _graver(code: LinearCode, kind: str, build) -> GraverBasis:
+    """The Graver basis of L for `kind`: by circuit lifts of the matrix that
+    `build` makes from the code at p = 2, by codewords and bricks otherwise;
+    every element is checked either way."""
     p = code.ff.p
-    N = mat.ncols
     space = VariableSpace(Block("x", (code.n, len(slot_elements(code.ff, kind)))))
     if p == 2:
         stage = f"graver circuit lifts ({kind})"
-        vectors = _circuit_lifts(mat)
+        vectors = _circuit_lifts(build(code))
     else:
-        stage = f"graver completion ({kind})"
-        # (d, z) is in the kernel of (M | pI) exactly when M d = -p z, so the
-        # first N coordinates of a kernel basis form a basis of L
-        gens = [v[:N] for v in kernel_basis(extend_with_pI(mat, p))]
-        vectors = _primitive_vectors(gens, N)
+        stage = f"graver bricks ({kind})"
+        vectors = _brick_vectors(code, kind)
     out = BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in vectors])
     encodes = _codeword_test(code, kind, max((max(sum(b.lhs), sum(b.rhs)) for b in out), default=0))
     for b in out:
@@ -442,12 +661,12 @@ def _completion(code: LinearCode, mat, kind: str) -> GraverBasis:
 
 def graver_ordinary(code: LinearCode) -> GraverBasis:
     """Graver basis of the code ideal (one variable per coordinate slot)."""
-    return _completion(code, build_He(code), ORDINARY)
+    return _graver(code, ORDINARY, build_He)
 
 
 def graver_generalized(code: LinearCode) -> GraverBasis:
     """Graver basis of the generalized code ideal (one variable per nonzero element)."""
-    return _completion(code, build_Hplus_e(code), GENERALIZED)
+    return _graver(code, GENERALIZED, build_Hplus_e)
 
 
 def graver_lawrence(code: LinearCode, kind: str, order: Optional[MonomialOrder] = None) -> GraverBasis:

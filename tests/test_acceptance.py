@@ -302,7 +302,7 @@ def small_code_sample(ff2, ff3):
 def test_criterion_06_oracle_equivalence(acceptance, small_code_sample, code_f4, f4_graver):
     with checklist(
         acceptance,
-        "6. Graver routes (circuits at p = 2, completion at odd p) agree with the "
+        "6. Graver routes (circuits at p = 2, bricks at odd p) agree with the "
         "exhaustive oracle on all 31 small codes plus the quaternary crossed ideal, < 10min",
     ):
         t0 = time.monotonic()

@@ -1,5 +1,5 @@
-"""Graver bases by circuit lifts at p = 2 and by completion at odd p,
-cross-checked by each other, by the Lawrence route and by brute force."""
+"""Graver bases by circuit lifts at p = 2 and by codewords and bricks at odd
+p, cross-checked by the completion, by the Lawrence route and by brute force."""
 
 import itertools
 import os
@@ -16,7 +16,9 @@ from codegb.binomials import (
     ORDINARY,
     Binomial,
     BinomialSet,
+    Block,
     InvariantError,
+    VariableSpace,
     build_generalized_generators,
     build_ordinary_generators,
     slot_elements,
@@ -29,6 +31,7 @@ from codegb.fields import DependentBasisError, FiniteField, NonPrimitiveModulusE
 from codegb.graver import (
     GraverBasis,
     SearchSpaceTooLargeError,
+    _ConformalSet,
     _circuits,
     _circuits_by_walk,
     _circuits_by_words,
@@ -177,7 +180,8 @@ LADDER = {
 }
 
 
-# code_f9 of the generalized kind (24 variables) finishes on neither route in minutes
+# code_f9 of the generalized kind (24 variables) takes the Lawrence route
+# more than minutes; test_code_f9_generalized_basis_is_primitive checks it
 @pytest.mark.parametrize(
     "name,kind",
     [
@@ -281,6 +285,180 @@ def test_completion_equals_bruteforce_on_random_codes():
     assert rebased == fields - {2}
 
 
+def lattice_matrix(code, kind):
+    return build_Hplus_e(code) if kind == GENERALIZED else build_He(code)
+
+
+def lattice_generators(code, kind):
+    """A basis of L: (d, z) is in the kernel of (M | pI) exactly when
+    M d = -p z, so the first N coordinates of a kernel basis span L."""
+    mat = lattice_matrix(code, kind)
+    return [v[:mat.ncols] for v in kernel_basis(extend_with_pI(mat, code.ff.p))]
+
+
+def completion(code, kind):
+    """The primitive vectors of L by completion, as binomials."""
+    space = VariableSpace(Block("x", (code.n, len(slot_elements(code.ff, kind)))))
+    vectors = _primitive_vectors(lattice_generators(code, kind), space.dim)
+    return BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in vectors])
+
+
+# GF(3), GF(5), GF(7) and GF(9); the completion's time grows steeply and
+# unevenly with p and the number of variables (a [6,3] code over GF(7) took
+# more than two minutes), so the variables per code are capped by p
+ODD_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2)]
+ODD_VARIABLES = {3: 6, 5: 4, 7: 4}
+
+
+def test_brick_route_equals_the_completion_on_random_codes():
+    # 144 seeded codes over GF(3), GF(5), GF(7) and GF(9), both kinds, with at
+    # most ODD_VARIABLES[p] variables, then four generalized codes over GF(7)
+    # and GF(9) (6 and 8 variables per position), which the exhaustive sweep
+    # cannot reach.  The completion finishes on those only when the code
+    # splits into single positions: every codeword has weight at most one.
+    # About 9 s on a 2-core x86 VM, nearly all of it the completion; the
+    # brick route takes about 0.1 s (budget: 30 s)
+    moduli = {f: primitive_moduli(*f) for f in ODD_FIELDS}
+    rng = random.Random(19)
+    seen, rebased = set(), set()
+    zero_columns = 0
+    t0 = time.monotonic()
+
+    def check(drawn):
+        nonlocal zero_columns
+        kind, code = drawn
+        ff = code.ff
+        assert run(code, kind).elements == completion(code, kind), (kind, ff.modulus, ff.basis, code.H)
+        seen.add((ff.q, kind))
+        zero_columns += any(not any(col) for col in zip(*code.H))
+        if ff.basis != FiniteField(ff.p, ff.r, ff.modulus).basis:
+            rebased.add(ff.q)
+
+    checked = 0
+    while checked < 144:
+        drawn = random_code(rng, moduli, lambda p, width: ODD_VARIABLES[p] // width)
+        if drawn is not None:
+            check(drawn)
+            checked += 1
+    for field in [(7, 1)] * 3 + [(3, 2)]:
+        while True:
+            drawn = random_code(rng, {field: moduli[field]}, lambda p, width: 2 * (width > 2))
+            if drawn is not None and all(sum(map(bool, w)) <= 1 for w in drawn[1].codewords()):
+                break
+        check(drawn)
+    assert time.monotonic() - t0 < 30.0
+    fields = {p ** r for p, r in ODD_FIELDS}
+    assert seen == {(q, kind) for q in fields for kind in (ORDINARY, GENERALIZED)}
+    assert rebased == fields and zero_columns > 0
+
+
+def test_ternary_code_with_no_parity_rows():
+    # k = n: the code is everything, every column of H is zero, and the
+    # Graver basis is the units, one per variable
+    ff = FiniteField(3, 1, (0, 1))
+    code = LinearCode.from_generator(ff, [[ff.one(), ff.zero()], [ff.zero(), ff.one()]])
+    assert code.m == 0
+    for kind in (ORDINARY, GENERALIZED):
+        g = run(code, kind)
+        assert g == graver_bruteforce(code, kind)
+        assert len(g) == code.n * len(slot_elements(ff, kind))
+
+
+GOLAY_GENERATOR = (2, 0, 1, 2, 1, 1)  # x^5 + x^4 + 2x^3 + x^2 + 2, constant first
+
+
+def ternary_golay_code():
+    """The cyclic ternary Golay [11,6] code."""
+    ff = FiniteField(3, 1, (0, 1))
+    g = [ff.from_int(c) for c in GOLAY_GENERATOR]
+    rows = [[g[j - i] if 0 <= j - i < len(g) else ff.zero() for j in range(11)] for i in range(6)]
+    return LinearCode.from_generator(ff, rows)
+
+
+@pytest.mark.parametrize(
+    "name,count,budget",
+    [
+        # 46-51 s by completion
+        ("f5gen3", 1458, 1.0),
+        # 496 s by completion
+        ("f7gen2", 2974, 2.0),
+        # the completion gave no result in 4 min on f9gen2, and was not run
+        # on the others
+        ("f9gen2", 7080, 3.0),
+        ("f7gen3", 16623, 6.0),
+        ("tgolay", 15675, 6.0),
+    ],
+)
+def test_odd_codes_past_the_completion(name, count, budget):
+    # about 0.05, 0.1, 0.3, 0.7 and 0.6 s on a 2-core x86 VM
+    documents = {
+        "f5gen3": ("field p=5 r=1 modulus=0,1\nparity 1 2 3\n", GENERALIZED),
+        "f7gen2": ("field p=7 r=1 modulus=0,1\nparity 1 3\n", GENERALIZED),
+        "f9gen2": ("field p=3 r=2 modulus=2,1,1\nparity a 1\n", GENERALIZED),
+        "f7gen3": ("field p=7 r=1 modulus=0,1\nparity 1 2 3\n", GENERALIZED),
+    }
+    if name == "tgolay":
+        code, kind = ternary_golay_code(), ORDINARY
+        assert code.m == 5 and min(sum(map(bool, w)) for w in code.codewords() if any(w)) == 5
+    else:
+        text, kind = documents[name]
+        code = code_of(text)
+    g, elapsed = timed(code, kind)
+    assert len(g) == count and elapsed < budget
+
+
+def test_code_f9_generalized_basis_is_primitive(code_f9):
+    # no oracle finishes on code_f9 of the generalized kind (24 variables),
+    # so the set is checked by its defining properties: every element
+    # encodes a codeword; no element is conformal to another; and the
+    # lattice generators, and 300 seeded sums f +- g of elements, reduce to
+    # zero over the set, so the set generates L conformally on them
+    t0 = time.monotonic()
+    g = graver_generalized(code_f9)
+    elapsed = time.monotonic() - t0
+    assert len(g) == 7492 and elapsed < 3.0
+    vectors = [tuple(a - b for a, b in zip(e.lhs, e.rhs)) for e in g]
+    encodes = _codeword_test(code_f9, GENERALIZED, max(max(sum(e.lhs), sum(e.rhs)) for e in g))
+    assert all(encodes(e) for e in g)
+    # both signs of every element; within[i][a] holds the elements u with
+    # u_i between 0 and a, so the elements conformal to v are the AND of
+    # within[i][v_i] over i, which must be v alone
+    signed = vectors + [tuple(-a for a in v) for v in vectors]
+    within = []
+    for i in range(len(signed[0])):
+        exact = {}
+        for k, v in enumerate(signed):
+            exact[v[i]] = exact.get(v[i], 0) | 1 << k
+        within.append({a: sum(bits for b, bits in exact.items() if b * a >= 0 and abs(b) <= abs(a))
+                       for a in exact})
+    for k, v in enumerate(signed):
+        below = -1
+        for i, a in enumerate(v):
+            below &= within[i][a]
+        assert below == 1 << k, v
+    found = _ConformalSet(len(vectors[0]), 8)
+    for v in vectors:
+        found.add(v)
+    rng = random.Random(23)
+    sums = [tuple(a + s * b for a, b in zip(rng.choice(vectors), rng.choice(vectors)))
+            for s in (1, -1) for _ in range(150)]
+    for v in lattice_generators(code_f9, GENERALIZED) + sums:
+        assert found.normal_form(v) is None, v
+
+
+def test_copies_of_a_ternary_code_are_split_into_components():
+    # 12 copies of the ternary [2,1] code of parity 1 1: 3^12 codewords in
+    # all, but three per component
+    def copies(k):
+        return code_of("field p=3 r=1 modulus=0,1\n" + "".join(
+            "parity " + " ".join("1" if j // 2 == i else "0" for j in range(2 * k)) + "\n"
+            for i in range(k)))
+
+    one = len(run(copies(1), ORDINARY))
+    g, elapsed = timed(copies(12), ORDINARY)
+    assert len(g) == 12 * one and elapsed < 0.5
+
+
 # GF(2), GF(4) and GF(8); 9 variables keep the completion under a second
 BINARY_FIELDS = [(2, 1), (2, 2), (2, 3)]
 COMPLETION_VARIABLES = 9
@@ -302,17 +480,10 @@ def test_circuit_lifts_equal_the_completion_on_random_codes():
             continue
         kind, code = drawn
         ff = code.ff
-        mat = build_Hplus_e(code) if kind == GENERALIZED else build_He(code)
-        N = mat.ncols
-        gens = [v[:N] for v in kernel_basis(extend_with_pI(mat, 2))]
-        g = run(code, kind)
-        completion = BinomialSet(
-            g.elements.space, [Binomial(*split_pos_neg(v)) for v in _primitive_vectors(gens, N)]
-        )
-        assert g.elements == completion, (kind, ff.modulus, ff.basis, code.H)
+        assert run(code, kind).elements == completion(code, kind), (kind, ff.modulus, ff.basis, code.H)
         checked += 1
         seen.add((ff.q, kind))
-        zero_columns += any(not any(col) for col in zip(*mat))
+        zero_columns += any(not any(col) for col in zip(*lattice_matrix(code, kind)))
         if ff.basis != FiniteField(ff.p, ff.r, ff.modulus).basis:
             rebased.add(ff.q)
     assert time.monotonic() - t0 < 20.0
@@ -523,7 +694,7 @@ def invariant_failure_under_python_O(p, row):
 
 def test_invariant_checks_still_fire_under_python_O():
     stage, message = invariant_failure_under_python_O(3, [1, 2, 1])
-    assert stage == "graver completion (ordinary)"
+    assert stage == "graver bricks (ordinary)"
     assert message.startswith(stage + ": element encodes no codeword: Binomial(")
 
 
@@ -574,6 +745,17 @@ def test_circuit_route_checks_minimality(monkeypatch):
     with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
         graver_ordinary(code)
     assert e.value.stage == "graver circuit lifts (ordinary)"
+
+
+def test_brick_route_checks_minimality(monkeypatch):
+    # 3e_1 + 3e_2 lies in L and encodes the zero word, but 3e_1 is conformal to it
+    bricks = codegb.graver._brick_vectors
+    monkeypatch.setattr(codegb.graver, "_brick_vectors", lambda code, kind: bricks(code, kind) + [(3, 3, 0)])
+    ff = FiniteField(3, 1, (0, 1))
+    code = LinearCode.from_parity(ff, [[ff.one(), ff.one(), ff.zero()]])
+    with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
+        graver_ordinary(code)
+    assert e.value.stage == "graver bricks (ordinary)"
 
 
 def test_completion_widens_its_fields_past_the_generators_entries():

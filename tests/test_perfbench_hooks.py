@@ -29,7 +29,7 @@ def test_spans_install_wraps_and_uninstall_restores(tmp_path):
         tracer.active = True
         assert codegb.cli.main(argv) == 0  # cold: computed and cached
         assert codegb.cli.main(argv) == 0  # warm: read from the cache
-        # the job computes its Graver basis by completion; the toric and
+        # the job computes its Graver basis by bricks; the toric and
         # saturation wrappers are passed by the Lawrence route, kept as oracle
         code = codegb.cli.parse_input(doc.read_text()).build_code()
         codegb.graver.graver_lawrence(code, "ordinary")
