@@ -368,26 +368,47 @@ _ELEMENT_LISTS = {
 
 def _check_shape(result: dict) -> None:
     """Raise ValueError unless every element list of the result holds pairs of
-    exponent lists, one exponent per variable, and `count` counts `elements`.
-    JSON renders any body, so this is what catches a malformed one there."""
+    exponent lists, one non-negative int per variable, `count` counts
+    `elements`, and a `matrix` result holds its three matrices as lists of
+    rows of ints.  JSON renders any body, so this is what catches a
+    malformed one there."""
+    if result["command"] == "matrix":
+        matrices = result.get("matrices")
+        keys = ("base", "extended", "lawrence")
+        if not (
+            isinstance(matrices, dict)
+            and all(type(matrices.get(k)) is list for k in keys)
+            and all(
+                type(row) is list and all(type(e) is int for e in row) for k in keys for row in matrices[k]
+            )
+        ):
+            raise ValueError("matrices holds a matrix that is no list of rows of integers")
+        return
     keys = _ELEMENT_LISTS.get(result["command"], ())
     variables = result.get("variables")
     for key in keys:
         elements = result.get(key)
         if not isinstance(variables, list) or not isinstance(elements, list):
             raise ValueError(f"{key} or variables is not a list")
-        width = len(variables)
-        if not all(
-            type(e) is list
-            and len(e) == 2
-            and type(e[0]) is list
-            and type(e[1]) is list
-            and len(e[0]) == len(e[1]) == width
-            for e in elements
-        ):
-            raise ValueError(f"{key} holds an element that is no pair of {width} exponents")
+        if not _exponent_pairs(elements, len(variables)):
+            raise ValueError(f"{key} holds an element that is no pair of {len(variables)} exponents")
     if "elements" in keys and result.get("count") != len(result["elements"]):
         raise ValueError("count is not the number of elements")
+
+
+def _exponent_pairs(elements: list, width: int) -> bool:
+    """Whether every element is a pair of lists of `width` ints >= 0.  Plain
+    loops: nested all() over generators took three times as long."""
+    for e in elements:
+        if type(e) is not list or len(e) != 2:
+            return False
+        for side in e:
+            if type(side) is not list or len(side) != width:
+                return False
+            for x in side:
+                if type(x) is not int or x < 0:
+                    return False
+    return True
 
 
 def _warn_corrupt(path: str, why) -> None:
@@ -445,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("matrix", "print the defining integer matrices"),
         ("toric", "generating set of the associated toric ideal"),
         ("rgb", "reduced Groebner basis of the code ideal"),
-        ("graver", "Graver basis: circuit lifts at p = 2, else completion on the code lattice"),
+        ("graver", "Graver basis: circuit lifts at p = 2, else codewords and bricks"),
         ("ugb", "universal Groebner basis: closed form at p = 2, else the cone sieve"),
         ("verify", "cross-check the pipeline against the brute-force oracle"),
     ]:

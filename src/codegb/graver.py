@@ -101,7 +101,12 @@ The completion procedure of Pottier ("The Euclidean algorithm in dimension
 n", ISSAC 1996) and Hemmecke ("On the positive sum property and the
 computation of Graver test sets", Math. Prog. 96, 2002), `_primitive_vectors`,
 computes primitive vectors in Z^N from any lattice basis; it serves the
-tests as the oracle of both routes.
+tests as the oracle of both routes.  Its conformal reduction is the normal
+form of groebner._Packed, the one that Buchberger's loop uses, in doubled
+variables x, y: u ⊑ v exactly when x^(u+) y^(u-) divides x^(v+) y^(v-) (the
+Lawrence lifting; Sturmfels, "Gröbner Bases and Convex Polytopes", 1996,
+Ch. 7), so each element u becomes the rules x^(u+) y^(u-) -> 1 and
+x^(u-) y^(u+) -> 1.
 
 The paper's route, the toric ideal of the p-Lawrence lifting over the doubled
 x/y space with y set to 1 at the end, is kept as `graver_lawrence`, and an
@@ -130,7 +135,7 @@ from .binomials import (
     word_of_binomial,
 )
 from .codes import LinearCode, _rref, nullspace
-from .groebner import buchberger
+from .groebner import _Packed, _widening, buchberger
 from .matrices import build_He, build_Hplus_e, expansion, lawrence_lift
 from .orders import MonomialOrder, degrevlex
 from .toric import toric_ideal
@@ -169,109 +174,6 @@ class GraverBasis:
         return f"GraverBasis({self.kind}, {len(self.elements)} elements)"
 
 
-class _ConformalSet:
-    """Lattice vectors, one of each pair +-v, packed for conformal reduction.
-
-    |v| is packed `width` bits per coordinate with a guard bit on top of each
-    field, as groebner._Packed packs monomials.  The sign pattern is a mask:
-    the guard bit of coordinate i marks v_i > 0, the same bit `top` places
-    higher marks v_i < 0.  Then u ⊑ v iff u's mask lies inside v's and
-    (|v| | guard) - |u| keeps every guard bit.  Every stored entry is at most
-    cap // 2, so the sum of two stored vectors fits; `add` widens the fields
-    when a vector would break that.
-    """
-
-    def __init__(self, dim: int, width: int):
-        self.dim = dim
-        self.vectors = []  # one of each pair +-v, in insertion order
-        self._repack(width)
-
-    def _repack(self, width: int) -> None:
-        dim = self.dim
-        self.width = width
-        self.cap = (1 << (width - 1)) - 1
-        self.top = width * dim
-        self.guard = sum(1 << (width * i + width - 1) for i in range(dim))
-        # per field cap, so that (a + low) & guard marks the nonzero fields
-        self.low = self.guard - sum(1 << (width * i) for i in range(dim))
-        self.masks = []  # sign mask of each vector
-        self.reducers = []  # (sign mask, packed |v|) of v and of -v
-        for v in self.vectors:
-            self._index(v)
-
-    def pack(self, v):
-        """(sign mask, packed |v|) of v."""
-        W, top = self.width, self.top
-        mask = a = 0
-        for i, e in enumerate(v):
-            if e:
-                shift = W * i
-                if e > 0:
-                    a |= e << shift
-                    mask |= 1 << (shift + W - 1)
-                else:
-                    a |= -e << shift
-                    mask |= 1 << (shift + W - 1 + top)
-        return mask, a
-
-    def unpack(self, mask: int, a: int) -> tuple:
-        W, top = self.width, self.top
-        field = (1 << W) - 1
-        out = []
-        for i in range(self.dim):
-            e = (a >> (W * i)) & field
-            out.append(-e if mask >> (W * i + W - 1 + top) & 1 else e)
-        return tuple(out)
-
-    def negated(self, mask: int) -> int:
-        """The sign mask of -v from that of v."""
-        top = self.top
-        return (mask >> top) | ((mask & ((1 << top) - 1)) << top)
-
-    def _index(self, v) -> None:
-        mask, a = self.pack(v)
-        self.masks.append(mask)
-        self.reducers.append((mask, a))
-        self.reducers.append((self.negated(mask), a))
-
-    def add(self, v: tuple) -> None:
-        self.vectors.append(v)
-        big = max(map(abs, v))
-        if 2 * big > self.cap:
-            self._repack((4 * big).bit_length() + 1)
-        else:
-            self._index(v)
-
-    def _reducer(self, mask: int, a: int) -> Optional[int]:
-        """Packed |u| of a stored +-u conformal to the packed vector, or None."""
-        outside = ~mask
-        guard = self.guard
-        ag = a | guard
-        for rmask, ra in self.reducers:
-            if not rmask & outside and (ag - ra) & guard == guard:
-                return ra
-        return None
-
-    def normal_form(self, v) -> Optional[tuple]:
-        """v minus stored vectors conformal to what is left, until none is;
-        None when that reaches zero."""
-        mask, a = self.pack(v)
-        guard, low, top = self.guard, self.low, self.top
-        while a:
-            ra = self._reducer(mask, a)
-            if ra is None:
-                return self.unpack(mask, a)
-            # a conformal step only lowers magnitudes; coordinates that reach
-            # zero leave the sign mask
-            a -= ra
-            nz = (a + low) & guard
-            mask &= nz | (nz << top)
-        return None
-
-    def reducible(self, v) -> bool:
-        return self._reducer(*self.pack(v)) is not None
-
-
 def _primitive_vectors(gens: Sequence[Sequence[int]], dim: int) -> list:
     """One of each pair +-v of the primitive vectors of the lattice that gens
     span over Z.
@@ -285,41 +187,68 @@ def _primitive_vectors(gens: Sequence[Sequence[int]], dim: int) -> list:
     every i is skipped: f ⊑ f + g, and reducing by f leaves g, which reduces
     to zero.  Elements are stored up to sign, so the pairs are the sums of f
     with g and with -g.
+
+    The reduction is the normal form of a groebner._Packed in the doubled
+    variables of the module docstring: v is x^(v+) y^(v-), and the rule of
+    +-u applies exactly when +-u ⊑ v, leaving v -+ u.  The support mask of
+    x^(u+) y^(u-) marks the positive entries of u in its x half and the
+    negative ones in its y half, so f + g cancels somewhere exactly when the
+    masks of f and -g meet.  A sum with an entry past the fields' cap starts
+    the completion over on fields twice as wide.
     """
+
+    def attempt(width: int) -> list:
+        found = _Packed(2 * dim, width)
+        masks = found.lead_sm  # of u and -u, at 2k and 2k + 1 for the k-th element u
+        vectors, pairs = [], []
+
+        def insert_remainder(v) -> None:
+            m = found.normalize(found.pack(_doubled(v)))
+            if not m:
+                return
+            r = found.unpack(m)
+            f = tuple(a - b for a, b in zip(r[:dim], r[dim:]))
+            k = len(vectors)
+            vectors.append(f)
+            _add_rules(found, f)
+            mask = masks[2 * k]
+            for j in range(k):
+                g = vectors[j]
+                if mask & masks[2 * j + 1]:  # f + g cancels somewhere
+                    heapq.heappush(pairs, (sum(abs(a + b) for a, b in zip(f, g)), k, j, 1))
+                if mask & masks[2 * j]:  # f - g cancels somewhere
+                    heapq.heappush(pairs, (sum(abs(a - b) for a, b in zip(f, g)), k, j, -1))
+
+        for g in gens:
+            insert_remainder(g)
+        while pairs:
+            _, k, j, sign = heapq.heappop(pairs)
+            insert_remainder([a + sign * b for a, b in zip(vectors[k], vectors[j])])
+
+        # an element is kept unless a kept one of smaller norm is conformal to it
+        minimal = _Packed(2 * dim, width)
+        kept = []
+        for v in sorted(vectors, key=lambda v: sum(map(abs, v))):
+            m = minimal.pack(_doubled(v))
+            if minimal.normalize(m) == m:
+                kept.append(v)
+                _add_rules(minimal, v)
+        return kept
+
+    # start with fields that hold the sum of two generators
     bound = max((abs(e) for v in gens for e in v), default=1)
-    found = _ConformalSet(dim, (4 * bound).bit_length() + 1)
-    pairs = []
+    return _widening(attempt, (2 * bound).bit_length() + 1)
 
-    def insert(f: tuple) -> None:
-        k = len(found.vectors)
-        found.add(f)
-        vectors, masks = found.vectors, found.masks
-        mask = masks[k]
-        neg = found.negated(mask)
-        for j in range(k):
-            g, gmask = vectors[j], masks[j]
-            if gmask & neg:  # f + g cancels somewhere
-                heapq.heappush(pairs, (sum(abs(a + b) for a, b in zip(f, g)), k, j, 1))
-            if gmask & mask:  # f - g cancels somewhere
-                heapq.heappush(pairs, (sum(abs(a - b) for a, b in zip(f, g)), k, j, -1))
 
-    for g in gens:
-        r = found.normal_form(g)
-        if r is not None:
-            insert(r)
-    while pairs:
-        _, k, j, sign = heapq.heappop(pairs)
-        f, g = found.vectors[k], found.vectors[j]
-        r = found.normal_form([a + sign * b for a, b in zip(f, g)])
-        if r is not None:
-            insert(r)
+def _doubled(v) -> list:
+    """The exponents of x^(v+) y^(v-), for the x variables followed by the y."""
+    return [e if e > 0 else 0 for e in v] + [-e if e < 0 else 0 for e in v]
 
-    # an element is kept unless a kept one of smaller norm is conformal to it
-    minimal = _ConformalSet(dim, found.width)
-    for v in sorted(found.vectors, key=lambda v: sum(map(abs, v))):
-        if not minimal.reducible(v):
-            minimal.add(v)
-    return minimal.vectors
+
+def _add_rules(pk: _Packed, u) -> None:
+    """The rules x^(u+) y^(u-) -> 1 and x^(u-) y^(u+) -> 1."""
+    pk.add(pk.pack(_doubled(u)), 0)
+    pk.add(pk.pack(_doubled([-e for e in u])), 0)
 
 
 def _support(w: int) -> list:

@@ -28,8 +28,9 @@ exponent-vector pairs.  Monomials are packed into single integers (one bit
 field per variable, with a guard bit) so divisibility, lcm and the reduction
 step are a handful of big-integer operations; the field width grows
 automatically if an exponent overflows.  One packed normal form serves
-Buchberger's reductions, the final autoreduction and `reduce` on the bases
-that this loop makes, which `reduce` packs once, on first use.  Pair
+Buchberger's reductions, the final autoreduction, `reduce` on the bases
+that this loop makes, which `reduce` packs once, on first use, and the
+conformal reduction of the completion in `graver`.  Pair
 selection follows the normal strategy (smallest lcm first, insertion index
 as tie-break) with the coprimality and chain criteria.
 """
@@ -88,11 +89,13 @@ class _Overflow(Exception):
 
 class _Packed:
     """Monomials packed into integers, `width` bits per variable, and lead-first
-    binomials held as parallel arrays of packed sides.
+    binomials held as parallel arrays of packed sides and leading supports.
 
     The top bit of each field is a guard: with every field of m at most `cap`,
-    lead divides m iff (m | guard) - lead keeps all guard bits set.  An
-    exponent past `cap` raises _Overflow, and the caller retries wider.
+    lead divides m iff (m | guard) - lead keeps all guard bits set, and
+    (m + low) & guard, with `cap` in every field of `low`, marks the fields
+    of m that are nonzero.  An exponent past `cap` raises _Overflow, and the
+    caller retries wider.
     """
 
     def __init__(self, dim: int, width: int, elements: Sequence[Binomial] = ()):
@@ -101,19 +104,19 @@ class _Packed:
         self.cap = (1 << (width - 1)) - 1
         self.fieldmask = (1 << width) - 1
         self.guard = sum(1 << (width * i + width - 1) for i in range(dim))
-        self.lead_p, self.trail_p = [], []
-        self.lead_sm, self.lead_dg, self.trail_dg = [], [], []
+        self.low = self.guard - sum(1 << (width * i) for i in range(dim))
+        self.lead_p, self.trail_p, self.lead_sm = [], [], []
         for b in elements:
-            self.add(self.pack(b.lhs), sum(b.lhs), self.pack(b.rhs), sum(b.rhs))
+            self.add(self.pack(b.lhs), self.pack(b.rhs))
 
     def pack(self, u) -> int:
         W, cap = self.width, self.cap
         m = 0
-        for i in range(self.dim - 1, -1, -1):
-            e = u[i]
-            if e > cap:
-                raise _Overflow
-            m = (m << W) | e
+        for i, e in enumerate(u):
+            if e:
+                if e > cap:
+                    raise _Overflow
+                m |= e << (W * i)
         return m
 
     def unpack(self, m: int) -> tuple:
@@ -125,50 +128,34 @@ class _Packed:
         return tuple(out)
 
     def smask(self, m: int) -> int:
-        """Bit i set iff variable i occurs in m."""
-        W, fieldmask, cap = self.width, self.fieldmask, self.cap
-        s = 0
-        i = 0
-        while m:
-            f = m & fieldmask
-            if f:
-                if f > cap:
-                    raise _Overflow
-                s |= 1 << i
-            m >>= W
-            i += 1
-        return s
+        """The guard bit of variable i set iff variable i occurs in m."""
+        if m & self.guard:
+            raise _Overflow
+        return (m + self.low) & self.guard
 
-    def add(self, a_p: int, a_dg: int, b_p: int, b_dg: int) -> None:
+    def add(self, a_p: int, b_p: int) -> None:
         """Append the binomial with packed leading side a_p and trail b_p."""
         self.lead_p.append(a_p)
         self.trail_p.append(b_p)
         self.lead_sm.append(self.smask(a_p))
-        self.lead_dg.append(a_dg)
-        self.trail_dg.append(b_dg)
 
-    def normalize(self, m_p: int, m_dg: int):
-        """Normal form of packed monomial m_p of degree m_dg, and its degree."""
-        lead_p, trail_p = self.lead_p, self.trail_p
-        lead_sm, lead_dg, trail_dg = self.lead_sm, self.lead_dg, self.trail_dg
+    def normalize(self, m_p: int) -> int:
+        """Normal form of packed monomial m_p."""
+        lead_p, trail_p, lead_sm = self.lead_p, self.trail_p, self.lead_sm
         smask, guard = self.smask, self.guard
-        changed = True
-        while changed:
-            changed = False
-            msk = smask(m_p)
+        while m_p:  # no lead divides 1
+            outside = guard ^ smask(m_p)  # the variables that m lacks
             mg = m_p | guard
             for g in range(len(lead_p)):
-                if lead_dg[g] <= m_dg and not (lead_sm[g] & ~msk):
-                    lp = lead_p[g]
-                    if (mg - lp) & guard == guard:
-                        m_p = m_p - lp + trail_p[g]
-                        m_dg = m_dg - lead_dg[g] + trail_dg[g]
-                        changed = True
-                        break
-        return m_p, m_dg
+                if not lead_sm[g] & outside and (mg - lead_p[g]) & guard == guard:
+                    m_p = m_p - lead_p[g] + trail_p[g]
+                    break
+            else:
+                break
+        return m_p
 
     def normal_form(self, u) -> tuple:
-        return self.unpack(self.normalize(self.pack(u), sum(u))[0])
+        return self.unpack(self.normalize(self.pack(u)))
 
 
 def _widening(attempt, width: int = 8):
@@ -422,7 +409,7 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
     okey = order.key
     pk = _Packed(space.dim, width)
     pack, unpack, normalize, guard = pk.pack, pk.unpack, pk.normalize, pk.guard
-    lead_p, trail_p, lead_sm, lead_dg, trail_dg = pk.lead_p, pk.trail_p, pk.lead_sm, pk.lead_dg, pk.trail_dg
+    lead_p, trail_p, lead_sm = pk.lead_p, pk.trail_p, pk.lead_sm
     lead_t = []  # unpacked leading sides, for the order key of each lcm
 
     heap: list = []
@@ -438,35 +425,35 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
                 continue  # coprime leading monomials: S-pair reduces to zero
             li = lead_t[i]
             lcm = tuple(a if a > b else b for a, b in zip(li, lt))
-            entry = (okey(lcm), counter, i, t, pack(lcm), sum(lcm), lead_sm[i] | sm_t)
+            entry = (okey(lcm), counter, i, t, pack(lcm), lead_sm[i] | sm_t)
             counter += 1
             heapq.heappush(heap, entry)
             pending.add((i, t))
 
-    def add_element(a_p, a_dg, b_p, b_dg):
+    def add_element(a_p, b_p):
         if a_p == b_p:
             return
         a_t, b_t = unpack(a_p), unpack(b_p)
         if okey(a_t) < okey(b_t):
-            a_p, a_dg, a_t, b_p, b_dg = b_p, b_dg, b_t, a_p, a_dg
-        pk.add(a_p, a_dg, b_p, b_dg)
+            a_p, a_t, b_p = b_p, b_t, a_p
+        pk.add(a_p, b_p)
         lead_t.append(a_t)
         push_pairs(len(lead_p) - 1)
 
     for b in binoms:
-        add_element(*normalize(pack(b.lhs), sum(b.lhs)), *normalize(pack(b.rhs), sum(b.rhs)))
+        add_element(normalize(pack(b.lhs)), normalize(pack(b.rhs)))
 
     while heap:
-        _, _, i, j, L_p, L_dg, L_sm = heapq.heappop(heap)
+        _, _, i, j, L_p, L_sm = heapq.heappop(heap)
         pending.discard((i, j))
         # chain criterion: a third lead divides the lcm and both mixed pairs
         # are no longer waiting
         skip = False
-        Lg = L_p | guard
+        Lg, outside = L_p | guard, guard ^ L_sm
         for g in range(len(lead_p)):
             if g == i or g == j:
                 continue
-            if lead_dg[g] <= L_dg and not (lead_sm[g] & ~L_sm) and (Lg - lead_p[g]) & guard == guard:
+            if not lead_sm[g] & outside and (Lg - lead_p[g]) & guard == guard:
                 a = (i, g) if i < g else (g, i)
                 if a in pending:
                     continue
@@ -478,8 +465,8 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
         if skip:
             continue
         add_element(
-            *normalize(L_p - lead_p[i] + trail_p[i], L_dg - lead_dg[i] + trail_dg[i]),
-            *normalize(L_p - lead_p[j] + trail_p[j], L_dg - lead_dg[j] + trail_dg[j]),
+            normalize(L_p - lead_p[i] + trail_p[i]),
+            normalize(L_p - lead_p[j] + trail_p[j]),
         )
 
     # autoreduction: keep minimal leading monomials, then normalize the trails
@@ -488,19 +475,16 @@ def _run(binoms, order: MonomialOrder, space: VariableSpace, width: int) -> Groe
     idx = sorted(range(len(lead_p)), key=lambda g: okey(lead_t[g]))
     kept = []
     for g in idx:
-        mg = lead_p[g] | guard
-        if not any(
-            lead_dg[h] <= lead_dg[g] and not (lead_sm[h] & ~lead_sm[g]) and (mg - lead_p[h]) & guard == guard
-            for h in kept
-        ):
+        mg, outside = lead_p[g] | guard, guard ^ lead_sm[g]
+        if not any(not lead_sm[h] & outside and (mg - lead_p[h]) & guard == guard for h in kept):
             kept.append(g)
 
     red = _Packed(space.dim, width)
     for g in kept:
-        red.add(lead_p[g], lead_dg[g], trail_p[g], trail_dg[g])
+        red.add(lead_p[g], trail_p[g])
     final = []
     for g in kept:
-        trail, _ = red.normalize(trail_p[g], trail_dg[g])
+        trail = red.normalize(trail_p[g])
         if trail == lead_p[g]:
             raise InvariantError("autoreduction", "trail reduces to its leading monomial", lead_t[g])
         final.append(Binomial(lead_t[g], unpack(trail)))

@@ -281,7 +281,7 @@ def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, f3_path, tmp_pa
         (lambda result: {**result, "elements": [[1]]}, "no pair of 3 exponents"),
         (
             lambda result: {**result, "elements": [[["a"] * 3, [0] * 3]] + result["elements"][1:]},
-            "does not render: TypeError",
+            "no pair of 3 exponents",
         ),
     ],
     ids=["empty", "command-only", "element-not-a-pair", "exponent-not-a-number"],
@@ -305,6 +305,21 @@ def first_side_cut_short(result):
     return {**result, "elements": [[first[0][:-1], first[1]], *rest]}
 
 
+def first_exponent(value):
+    """The result with the first exponent of its first element set to value."""
+    def corrupt(result):
+        (lhs, rhs), *rest = result["elements"]
+        return {**result, "elements": [[[value, *lhs[1:]], rhs], *rest]}
+    return corrupt
+
+
+def first_base_entry(value):
+    def corrupt(result):
+        first, *rest = result["matrices"]["base"]
+        return {**result, "matrices": {**result["matrices"], "base": [[value, *first[1:]], *rest]}}
+    return corrupt
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
     "command,corrupt,why",
@@ -316,9 +331,17 @@ def first_side_cut_short(result):
         ("ugb", lambda result: {**result, "elements": None}, "not a list"),
         ("verify", lambda result: {**result, "only_oracle": [[[1, 0, 0]]]}, "only_oracle holds"),
         ("verify", lambda result: {**result, "only_pipeline": {}}, "not a list"),
+        ("graver", first_exponent("a"), "no pair of 3 exponents"),
+        ("graver", first_exponent(-7), "no pair of 3 exponents"),
+        ("graver", first_exponent(True), "no pair of 3 exponents"),
+        ("graver", first_exponent(1.5), "no pair of 3 exponents"),
+        ("matrix", lambda result: {**result, "matrices": {**result["matrices"], "base": "x"}},
+         "no list of rows of integers"),
+        ("matrix", first_base_entry("1"), "no list of rows of integers"),
     ],
     ids=["not-a-pair", "element-dropped", "count-off", "short-side", "ugb-elements", "verify-pair",
-         "verify-list"],
+         "verify-list", "exponent-a", "exponent-negative", "exponent-true", "exponent-float",
+         "matrix-not-rows", "matrix-entry-not-an-int"],
 )
 def test_cache_result_of_the_wrong_shape_is_recomputed(
     capsys, f3_path, tmp_path, command, corrupt, why, fmt

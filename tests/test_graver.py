@@ -31,12 +31,13 @@ from codegb.fields import DependentBasisError, FiniteField, NonPrimitiveModulusE
 from codegb.graver import (
     GraverBasis,
     SearchSpaceTooLargeError,
-    _ConformalSet,
+    _add_rules,
     _circuits,
     _circuits_by_walk,
     _circuits_by_words,
     _codeword_test,
     _components,
+    _doubled,
     _primitive_vectors,
     _support,
     graver_bruteforce,
@@ -44,6 +45,7 @@ from codegb.graver import (
     graver_lawrence,
     graver_ordinary,
 )
+from codegb.groebner import _Packed
 from codegb.matrices import build_He, build_Hplus_e, extend_with_pI
 from codegb.toric import kernel_basis
 from codegb.universal import universal_basis
@@ -436,14 +438,16 @@ def test_code_f9_generalized_basis_is_primitive(code_f9):
         for i, a in enumerate(v):
             below &= within[i][a]
         assert below == 1 << k, v
-    found = _ConformalSet(len(vectors[0]), 8)
+    # the conformal normal form: x^(v+) y^(v-) by the rules x^(u+) y^(u-) -> 1
+    # and x^(u-) y^(u+) -> 1 of every element u
+    found = _Packed(2 * len(vectors[0]), 8)
     for v in vectors:
-        found.add(v)
+        _add_rules(found, v)
     rng = random.Random(23)
     sums = [tuple(a + s * b for a, b in zip(rng.choice(vectors), rng.choice(vectors)))
             for s in (1, -1) for _ in range(150)]
     for v in lattice_generators(code_f9, GENERALIZED) + sums:
-        assert found.normal_form(v) is None, v
+        assert found.normalize(found.pack(_doubled(v))) == 0, v
 
 
 def test_copies_of_a_ternary_code_are_split_into_components():

@@ -27,6 +27,7 @@ from codegb.fields import FiniteField
 from codegb.groebner import (
     GroebnerBasis,
     _blocks,
+    _Overflow,
     _Packed,
     _run,
     _unit_lattice,
@@ -207,6 +208,18 @@ def test_wide_exponents_trigger_width_escalation():
     g = bset(2, [((300, 0), (0, 1))])
     gb = buchberger(g, lex(2))
     assert canon(gb.binomials) == canon(g)
+
+
+def test_overflow_inside_a_normal_form_triggers_width_escalation():
+    # every exponent of the generators fits 8-bit fields, but the S-pair of
+    # x0^2 - 1 and x0 - x1^100 has x0 * x1^100 rewritten to x1^200 inside the
+    # normal form, past the field's cap of 127, so the run at width 8 must
+    # stop and buchberger retry wider
+    g = bset(2, [((2, 0), (0, 0)), ((1, 0), (0, 100))])
+    with pytest.raises(_Overflow):
+        _run(g.sorted(), lex(2), g.space, 8)
+    gb = buchberger(g, lex(2))
+    assert set(gb.elements) == {Binomial((1, 0), (0, 100)), Binomial((0, 200), (0, 0))}
 
 
 @pytest.mark.parametrize(
