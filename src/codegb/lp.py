@@ -12,8 +12,21 @@ At 0 the reduced costs of the first d slack columns are the dual solution x,
 which satisfies the system exactly.  At 1 the basic y is a Farkas vector,
 re-checked exactly before infeasibility is reported.
 
-Everything runs over Fraction; Bland's rule guarantees termination, so the
-result is a decision procedure, not a numerical heuristic.
+Integer pivoting (fraction-free Gauss-Jordan; Edmonds 1967, Bareiss 1968).
+The tableau, objective row included, is kept as D times the true one, with
+D > 0 the previous pivot (D = 1 at the start).  A pivot on the entry
+p = T[l][e] > 0 keeps row l, replaces every other row i by
+(p T[i] - T[i][e] T[l]) / D, and sets D to p.  Every division is exact:
+the starting tableau M is an integer matrix with the identity on its basis
+columns, so after any sequence of pivots, with B the current basis columns
+of M, the true tableau is B^-1 M and D = |det B|.  By Cramer's rule every
+entry of D B^-1 M is then, up to sign, a minor of M, and so an integer (the
+objective row is one more row with a fixed basic variable, so the same
+holds for it).  Because D > 0, every entry has the sign of the true
+one, and the ratio test compares T[i][-1] / T[i][e] by cross-multiplication;
+so Bland's rule takes the same pivots as over the rationals, guarantees
+termination, and the result is a decision procedure, not a numerical
+heuristic.  Entries stay bounded by the minors of the input.
 """
 
 from __future__ import annotations
@@ -23,11 +36,14 @@ from typing import Optional, Sequence
 
 from .binomials import InvariantError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 # generous bound; Bland's rule cannot cycle, so hitting this means a bug
 _MAX_PIVOTS = 200000
+
+
+def _integral(v):
+    if isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1):
+        return int(v)
+    raise ValueError(f"lp entries must be integers, not {v!r}")
 
 
 def feasible_point(
@@ -35,59 +51,68 @@ def feasible_point(
 ) -> Optional[tuple]:
     """Some nonnegative rational x with rows[k] . x >= rhs[k] for every k.
 
-    Returns None when the system is infeasible, once a Farkas vector proving
-    it has been checked.
+    Entries of `rows` and `rhs` must be integers (ints, or Fractions with
+    denominator 1); anything else raises ValueError.  Returns None when the
+    system is infeasible, once a Farkas vector proving it has been checked.
     """
     m, n = len(rows), dim
     if any(len(r) != n for r in rows):
         raise ValueError("row length disagrees with dim")
-    b = [Fraction(v) for v in rhs]
+    A = [[v if type(v) is int else _integral(v) for v in r] for r in rows]
+    b = [v if type(v) is int else _integral(v) for v in rhs]
     # row i < n: (A^T y)_i + s_i = 0; row n: b^T y + s_n = 1; columns y, s, rhs
-    T = [[Fraction(r[i]) for r in rows] + [_ZERO] * (n + 2) for i in range(n)]
-    T.append(b + [_ZERO] * (n + 1) + [_ONE])
+    T = [[r[i] for r in A] + [0] * (n + 2) for i in range(n)]
+    T.append(b + [0] * (n + 1) + [1])
     for i in range(n + 1):
-        T[i][m + i] = _ONE
+        T[i][m + i] = 1
     basis = list(range(m, m + n + 1))
-    obj = [-v for v in b] + [_ZERO] * (n + 2)  # reduced costs; obj[-1] = b^T y
+    obj = [-v for v in b] + [0] * (n + 2)  # reduced costs; obj[-1] = b^T y
+    D = 1
 
     for _ in range(_MAX_PIVOTS):
         enter = next((j for j in range(m + n + 1) if obj[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(n + 1):
             a = T[i][enter]
             if a > 0:
-                ratio = T[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # T[i][-1] / a against T[leave][-1] / T[leave][enter]
+                c = T[i][-1] * T[leave][enter] - T[leave][-1] * a
+                if c < 0 or (c == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise InvariantError("lp", "dual objective unbounded despite b^T y <= 1", enter)
-        piv = T[leave][enter]
-        prow = [v / piv if v else v for v in T[leave]]
-        T[leave] = prow
+        prow = T[leave]
+        p = prow[enter]
         for i in range(n + 1):
-            f = T[i][enter]
-            if i != leave and f:
-                T[i] = [v - f * w if w else v for v, w in zip(T[i], prow)]
+            if i != leave:
+                f = T[i][enter]
+                if f:
+                    T[i] = [(p * v - f * w) // D for v, w in zip(T[i], prow)]
+                elif p != D:
+                    T[i] = [p * v // D for v in T[i]]
         f = obj[enter]
-        obj = [v - f * w if w else v for v, w in zip(obj, prow)]
+        obj = [(p * v - f * w) // D for v, w in zip(obj, prow)]
+        D = p
         basis[leave] = enter
     else:
         raise InvariantError("lp", "pivot limit exceeded", _MAX_PIVOTS)
 
     if obj[-1] == 0:
-        return tuple(obj[m : m + n])
-    y = [_ZERO] * m
+        return tuple(Fraction(v, D) for v in obj[m : m + n])
+    # the Farkas vector y scaled by D > 0, which changes none of its signs
+    yD = [0] * m
     for i, j in enumerate(basis):
         if j < m:
-            y[j] = T[i][-1]
+            yD[j] = T[i][-1]
     if (
-        any(v < 0 for v in y)
-        or any(sum(r[i] * v for r, v in zip(rows, y)) > 0 for i in range(n))
-        or sum(c * v for c, v in zip(b, y)) <= 0
+        any(v < 0 for v in yD)
+        or any(sum(r[i] * v for r, v in zip(A, yD)) > 0 for i in range(n))
+        or sum(c * v for c, v in zip(b, yD)) <= 0
     ):
-        raise InvariantError("lp", "Farkas vector fails its exact check", tuple(y))
+        raise InvariantError("lp", "Farkas vector fails its exact check", tuple(yD))
     return None

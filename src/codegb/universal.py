@@ -8,9 +8,10 @@ takes the closed form below, every other p the cone sieve.
 Cone sieve (`cone_sieve`).  Every Graver element is either discarded by the
 two-sided divisibility lemma, or gets an open polyhedral cone of weight
 vectors; the element belongs to some reduced basis iff that cone is
-non-empty.  Cone systems are decided exactly with the rational LP solver, and
-every positive answer carries a weight-vector witness that has been
-re-substituted into all strict inequalities.
+non-empty.  A cone is decided by an earlier witness that satisfies it, else
+by the exact LP solver (`lp`, integer pivoting), and every positive answer
+carries an integer weight-vector witness that has been re-substituted into
+all strict inequalities.
 
 Closed form at p = 2.  Both code ideals are lattice ideals of
 L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}, and by the closed
@@ -45,6 +46,7 @@ both kinds; it carries no witnesses.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .binomials import Binomial, BinomialSet, InvariantError
@@ -102,40 +104,23 @@ def _dot(r, w):
     return acc
 
 
-# The relaxation sweep works in floats, so its output is only a guess; the
-# caller must re-check the integer vector exactly before trusting it.
-_RELAX_SCALE = 1 << 20
-_RELAX_SWEEPS = 200
-
-
-def _relaxation_candidate(rows, dim):
-    """Cyclic Agmon-Motzkin relaxation driving every row above 1."""
-    w = [1.0] * dim
-    norms = [float(sum(e * e for e in r)) for r in rows]
-    for _ in range(_RELAX_SWEEPS):
-        moved = False
-        for r, nrm in zip(rows, norms):
-            s = 0.0
-            for a, b in zip(w, r):
-                if b:
-                    s += a * b
-            if s < 1.0:
-                step = (1.25 - s) / nrm
-                w = [max(0.0, a + step * e) for a, e in zip(w, r)]
-                moved = True
-        if not moved:
-            return tuple(round(a * _RELAX_SCALE) for a in w)
-    return None
+def _primitive(x):
+    """The primitive integer multiple of a rational vector (0 stays 0)."""
+    den = lcm(*(v.denominator for v in x))
+    w = [v.numerator * (den // v.denominator) for v in x]
+    g = gcd(*w) or 1
+    return tuple(v // g for v in w)
 
 
 def cone_is_empty(cone: ConeSystem, hints: Iterable[Sequence] = ()):
     """(True, None) when the open cone is empty, else (False, witness).
 
     By conic scaling the strict system has a point iff {w >= 0 : Rw >= 1}
-    does.  Candidate witnesses come from hints, then from a float relaxation
-    sweep, and only as a last resort from the exact LP; emptiness itself is
-    always decided by the LP.  Every witness is checked back against all the
-    strict inequalities before being returned.
+    does.  Hints (earlier witnesses) are tried first and returned as given
+    when they satisfy every strict inequality; otherwise the exact LP decides,
+    and its point is scaled to its primitive integer multiple, still a point
+    of the open cone.  Every witness is checked back against all the strict
+    inequalities before being returned.
     """
     rows = cone.rows
     if any(all(e <= 0 for e in r) for r in rows):
@@ -147,12 +132,10 @@ def cone_is_empty(cone: ConeSystem, hints: Iterable[Sequence] = ()):
     for w in hints:
         if len(w) == cone.dim and all(_dot(r, w) > 0 for r in rows):
             return False, tuple(w)
-    cand = _relaxation_candidate(rows, cone.dim)
-    if cand is not None and all(_dot(r, cand) > 0 for r in rows):
-        return False, cand
-    w = feasible_point(rows, [1] * len(rows), cone.dim)
-    if w is None:
+    x = feasible_point(rows, [1] * len(rows), cone.dim)
+    if x is None:
         return True, None
+    w = _primitive(x)
     for r in rows:
         if _dot(r, w) <= 0:
             raise InvariantError("cone witness", f"LP point {w} violates row", r)

@@ -108,6 +108,24 @@ def test_seeded_sweep_agrees_with_fourier_motzkin():
     assert min(decided.values()) > 500
 
 
+def test_large_coefficient_sweep_agrees_with_fourier_motzkin():
+    # entries up to 10^4 in size make the tableau's minors outgrow 64 bits,
+    # so the exact divisions of integer pivoting run on big ints; about 1 s
+    # on a 2-core x86 VM, nearly all of it in the oracle
+    rng = random.Random(104)
+    decided = {True: 0, False: 0}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        m = rng.randint(0, 9)
+        rows = [tuple(rng.randint(-(10**4), 10**4) for _ in range(dim)) for _ in range(m)]
+        rhs = [rng.randint(-(10**4), 10**4) for _ in range(m)]
+        x = check(rows, rhs, dim)
+        feasible = fourier_motzkin_feasible(rows, rhs, dim)
+        assert (x is not None) == feasible, (rows, rhs)
+        decided[feasible] += 1
+    assert min(decided.values()) > 100
+
+
 def test_systems_built_around_a_farkas_vector_are_infeasible():
     # y = (1, 2, 1) gives A^T y = (0, 0, -1) <= 0 and b^T y = 2 > 0
     rows = [(2, -1, 0), (-1, 1, -1), (0, -1, 1)]
@@ -140,3 +158,18 @@ def test_pivot_limit_is_a_typed_error(monkeypatch):
 def test_row_length_is_checked():
     with pytest.raises(ValueError):
         feasible_point([(1, 2, 3)], [1], 2)
+
+
+@pytest.mark.parametrize(
+    "rows,rhs",
+    [([(1, 1)], [Fraction(1, 2)]), ([(1, 0.5)], [1]), ([(1, 1)], [1.0])],
+    ids=["fraction-rhs", "float-row-entry", "float-rhs"],
+)
+def test_non_integral_entries_are_rejected(rows, rhs):
+    # truncating 1/2 to 0 would turn x1 + x2 >= 1/2 into a different system
+    with pytest.raises(ValueError, match="must be integers"):
+        feasible_point(rows, rhs, 2)
+
+
+def test_integral_fractions_are_accepted():
+    assert check([(Fraction(2), -1)], [Fraction(6, 2)], 2) is not None

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -72,6 +73,50 @@ def test_cone_hint_short_circuits_when_valid():
     # an invalid hint is ignored, not returned
     empty, w = cone_is_empty(ConeSystem(2, rows), hints=[(0, 1)])
     assert not empty and w != (0, 1)
+
+
+def is_primitive_int_tuple(w):
+    return type(w) is tuple and all(type(e) is int for e in w) and gcd(*w) == 1
+
+
+def test_lp_witnesses_are_primitive_integer_vectors():
+    # the LP points are (4/5, 3/5), (1/3, 0) and (12/31, 53/93, 43/93, 0)
+    cones = {
+        ((2, -1), (-1, 3)): (4, 3),
+        ((3, -1),): (1, 0),
+        ((7, -3, 0, 1), (0, 5, -4, 0), (-1, 0, 3, 0)): (36, 53, 43, 0),
+    }
+    for rows, scaled in cones.items():
+        empty, w = cone_is_empty(ConeSystem(len(rows[0]), rows))
+        assert not empty and w == scaled and is_primitive_int_tuple(w)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The argument tuples of every LP call the sieve makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return feasible_point(*args)
+
+    monkeypatch.setattr("codegb.universal.feasible_point", counted)
+    return calls
+
+
+def test_sieve_witnesses_are_primitive_integer_vectors(lp_calls):
+    # parity 1 7 3 over GF(19): most of its 28 kept elements come from the LP
+    u = universal_basis(graver_ordinary(parity_code(19, 1, (0, 1), "1 7 3")))
+    assert len(u) == 28 and len(lp_calls) > 10
+    assert all(is_primitive_int_tuple(w) for w in u.witnesses.values())
+
+
+def test_a_valid_hint_skips_the_lp(lp_calls):
+    rows = [(1, -1, 0), (0, 1, -1), (0, 0, 1)]
+    assert cone_is_empty(ConeSystem(3, rows), hints=[(1, 1, 1), (3, 2, 1)]) == (False, (3, 2, 1))
+    assert lp_calls == []
+    empty, w = cone_is_empty(ConeSystem(3, rows), hints=[(1, 1, 1)])
+    assert not empty and len(lp_calls) == 1
 
 
 def test_prune_lemma_on_the_repetition_code(rep2):
@@ -334,8 +379,9 @@ def test_p13_universal_basis_is_fast_and_every_witness_reproduces_it():
     u = universal_basis(graver_ordinary(code))
     elapsed = time.perf_counter() - start
     assert pairs(u) == P13N4_UNIVERSAL
-    # about 0.5 s on a 2-core x86 VM, where a phase-one LP with one
-    # artificial per cone row took 16.8 s
+    # about 0.09 s on a 2-core x86 VM by integer pivoting, 0.27 s with the
+    # LP over Fraction behind a float relaxation, and 16.8 s with a
+    # phase-one LP with one artificial per cone row
     assert elapsed < 5.0
     # each witness weight orders a reduced basis that holds its element, led
     # by the side the witness makes heavier
@@ -348,3 +394,23 @@ def test_p13_universal_basis_is_fast_and_every_witness_reproduces_it():
         stored = {e.canonical(): e for e in buchberger(gens, WeightOrder(w, degrevlex(len(w))))}
         assert b in stored
         assert stored[b].lhs == (b.lhs if lw > rw else b.rhs)
+
+
+def test_p31_universal_basis_holds_every_sampled_reduced_basis():
+    # parity 1 5 9 17 over GF(31), past the bundled examples: 187 Graver
+    # elements, 90 kept.  The sieve takes about 0.3 s on a 2-core x86 VM
+    # (1.1 s with the LP over Fraction behind a float relaxation).  The 30
+    # seeded weight orders reach 61 of the 90
+    code = parity_code(31, 1, (0, 1), "1 5 9 17")
+    graver = graver_ordinary(code)
+    start = time.perf_counter()
+    u = universal_basis(graver)
+    elapsed = time.perf_counter() - start
+    assert (len(graver), len(u)) == (187, 90)
+    assert elapsed < 5.0
+    gens = build_ordinary_generators(code)
+    rng = random.Random(31)
+    for _ in range(30):
+        weights = [Fraction(rng.randrange(13), rng.randint(1, 6)) for _ in range(4)]
+        for b in buchberger(gens, WeightOrder(weights, degrevlex(4))).elements:
+            assert b in u.elements, (weights, b)
