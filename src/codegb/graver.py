@@ -150,12 +150,13 @@ class SearchSpaceTooLargeError(ValueError):
 class GraverBasis:
     """Primitive binomials of a code ideal."""
 
-    __slots__ = ("elements", "kind", "code")
+    __slots__ = ("elements", "kind", "code", "_packed")
 
     def __init__(self, elements: BinomialSet, kind: str, code: LinearCode):
         self.elements = elements
         self.kind = kind
         self.code = code
+        self._packed = None  # the elements packed by the cone sieve, on first use
 
     def __iter__(self):
         return iter(self.elements)

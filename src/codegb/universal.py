@@ -8,10 +8,19 @@ takes the closed form below, every other p the cone sieve.
 Cone sieve (`cone_sieve`).  Every Graver element is either discarded by the
 two-sided divisibility lemma, or gets an open polyhedral cone of weight
 vectors; the element belongs to some reduced basis iff that cone is
-non-empty.  A cone is decided by an earlier witness that satisfies it, else
-by the exact LP solver (`lp`, integer pivoting), and every positive answer
-carries an integer weight-vector witness that has been re-substituted into
-all strict inequalities.
+non-empty.  Both steps ask only whether one monomial divides another, and
+answer it on monomials packed into integers with guard bits, as
+`groebner._Packed` does: the Graver basis is packed once, on first use, and
+widened when an exponent needs it.  Both sides of an element e divide s
+exactly when lcm(e), their componentwise maximum, divides s, so the lemma
+costs two tests per element (`prune_by_lemma`).  The cone of x^u - x^u'
+tests the sides of each element against the targets u - e_j, j in supp(u),
+and u'; dividing some u - e_j is the same as properly dividing u, so two
+tests per side replace |supp u| + 1 (`cone_rows`, with the proof).  A cone
+is decided by an earlier witness that satisfies it, else by the exact LP
+solver (`lp`, integer pivoting), and every positive answer carries an
+integer weight-vector witness that has been re-substituted into all strict
+inequalities.
 
 Closed form at p = 2.  Both code ideals are lattice ideals of
 L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}, and by the closed
@@ -51,6 +60,7 @@ from typing import Iterable, Sequence
 
 from .binomials import Binomial, BinomialSet, InvariantError
 from .graver import GraverBasis
+from .groebner import _Packed, _widening
 from .lp import feasible_point
 
 
@@ -142,23 +152,42 @@ def cone_is_empty(cone: ConeSystem, hints: Iterable[Sequence] = ()):
     return False, w
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _packed(g: Binomial, graver: GraverBasis):
+    """(_Packed, entries, u, u') at the narrowest width that holds the Graver
+    basis and g, with u, u' the packed sides of g and one entry (lhs, rhs,
+    lcm, rhs - lhs, lhs - rhs) per element, its monomials packed.  The
+    entries are cached on the basis and packed again only to widen."""
+
+    def attempt(width):
+        cached = graver._packed
+        if cached is None or cached[0].width != width:
+            pk = _Packed(graver.elements.space.dim, width)
+            entries = []
+            for e in graver.elements:
+                r = tuple(b - a for a, b in zip(e.lhs, e.rhs))
+                lcm_e = tuple(map(max, e.lhs, e.rhs))
+                entries.append((pk.pack(e.lhs), pk.pack(e.rhs), pk.pack(lcm_e), r, tuple(-x for x in r)))
+            cached = graver._packed = (pk, entries)
+        return cached + (cached[0].pack(g.lhs), cached[0].pack(g.rhs))
+
+    return _widening(attempt, graver._packed[0].width if graver._packed else 8)
 
 
 def prune_by_lemma(g: Binomial, graver: GraverBasis) -> bool:
     """True when another Graver element has both sides dividing one side of g.
 
     Such an element can never appear in a reduced basis: whichever of its
-    sides leads, it rewrites that side of g.
+    sides leads, it rewrites that side of g.  Both sides of e divide s
+    exactly when lcm(e), their componentwise maximum, divides s, so each
+    element costs two guard-bit tests on packed monomials.  The element g
+    itself, in either orientation, is recognised by its packed sides.
     """
-    gc = g.canonical()
-    for e in graver.elements:
-        if e == gc:
-            continue
-        for side in (g.lhs, g.rhs):
-            if _divides(e.lhs, side) and _divides(e.rhs, side):
-                return True
+    pk, entries, u, up = _packed(g, graver)
+    guard = pk.guard
+    ug, upg = u | guard, up | guard
+    for v, vp, c, _, _ in entries:
+        if ((ug - c) & guard == guard or (upg - c) & guard == guard) and (v, vp) not in ((u, up), (up, u)):
+            return True
     return False
 
 
@@ -169,27 +198,35 @@ def cone_rows(g: Binomial, graver: GraverBasis) -> ConeSystem:
     plus u' itself.  For each Graver element, whichever side divides a target
     must be the cheaper side under the sought weight vector.  The element g
     itself contributes the row u - u' through the u' target.
+
+    A monomial v divides some u - e_j with j in supp(u) exactly when v
+    properly divides u (v <= u and v != u): if v <= u - e_j then v != u, and
+    if v <= u and v != u then v_j < u_j for some j, so u_j >= 1.  So each
+    side of an element is tested against two targets, "properly divides u"
+    and "divides u'", and by the same argument both sides divide one target
+    exactly when lcm(e) properly divides u or divides u', which the lemma
+    rules out.  An element whose two sides divide different targets gives
+    both rows r and -r, and the cone is empty whatever their order; for a
+    lemma survivor g of the Graver basis this does not happen, since one side
+    a of e would divide u' and the other, b, properly divide u, so b - a
+    would be conformal to u - u' and smaller, and g not primitive.  So each
+    element gives at most one row, in the order of the targets.
     """
-    u, up = g.lhs, g.rhs
-    n = len(u)
-    targets = []
-    for ij in range(n):
-        if u[ij]:
-            targets.append(tuple(u[t] - (1 if t == ij else 0) for t in range(n)))
-    targets.append(up)
+    pk, entries, u, up = _packed(g, graver)
+    guard = pk.guard
+    ug, upg = u | guard, up | guard
     rows = []
-    for e in graver.elements:
-        v, vp = e.lhs, e.rhs
-        for t in targets:
-            if _divides(v, t):
-                if _divides(vp, t):
-                    raise InvariantError(
-                        "cone rows", f"both sides divide target {t} despite pruning", e
-                    )
-                rows.append(tuple(b - a for a, b in zip(v, vp)))
-            elif _divides(vp, t):
-                rows.append(tuple(a - b for a, b in zip(v, vp)))
-    return ConeSystem(n, rows)
+    for v, vp, c, r, nr in entries:
+        hv = (ug - v) & guard == guard and v != u or (upg - v) & guard == guard
+        hvp = (ug - vp) & guard == guard and vp != u or (upg - vp) & guard == guard
+        if hv and hvp and ((ug - c) & guard == guard and c != u or (upg - c) & guard == guard):
+            e = Binomial(pk.unpack(v), pk.unpack(vp))
+            raise InvariantError("cone rows", "both sides divide one target despite pruning", e)
+        if hv:
+            rows.append(r)
+        if hvp:
+            rows.append(nr)
+    return ConeSystem(len(g.lhs), rows)
 
 
 def _oriented(g: Binomial) -> Binomial:

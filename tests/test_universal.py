@@ -135,6 +135,116 @@ def test_cone_rows_contain_the_strictness_row(code_f3):
     assert (1, 0, -1) in cone.rows
 
 
+def test_cone_rows_reject_an_element_with_both_sides_dividing_one_target(rep2):
+    # x1 - x2 has both sides dividing the target (1, 1) of x1*x2^2 - 1, which
+    # the lemma prunes; the check is a raise, so it holds under python -O
+    with pytest.raises(InvariantError, match="cone rows: both sides divide one target"):
+        cone_rows(Binomial((1, 2), (0, 0)), graver_ordinary(rep2))
+
+
+def test_cone_rows_of_a_pruned_element_may_hold_opposite_rows(rep2):
+    # x1*x2 - 1 is pruned by the lemma; its targets (0, 1) and (1, 0) are
+    # each divided by one side of x1 - x2, whose two rows close the cone
+    # whatever their order
+    graver = graver_ordinary(rep2)
+    cone = cone_rows(Binomial((1, 1), (0, 0)), graver)
+    assert {(1, -1), (-1, 1)} <= set(cone.rows)
+    assert set(cone.rows) == set(oracle_rows(Binomial((1, 1), (0, 0)), graver).rows)
+    assert cone_is_empty(cone) == (True, None)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def oracle_prune(g, graver):
+    """The lemma, tested tuple by tuple on both sides of every other element."""
+    gc = g.canonical()
+    return any(
+        _divides(e.lhs, side) and _divides(e.rhs, side)
+        for e in graver.elements
+        if e != gc
+        for side in (g.lhs, g.rhs)
+    )
+
+
+def oracle_rows(g, graver):
+    """The cone rows of g, each side of each element tested against every
+    target u - e_j with j in supp(u), then u'."""
+    u, up = g.lhs, g.rhs
+    targets = [tuple(e - (t == j) for t, e in enumerate(u)) for j in range(len(u)) if u[j]] + [up]
+    rows = []
+    for e in graver.elements:
+        v, vp = e.lhs, e.rhs
+        for t in targets:
+            if _divides(v, t):
+                if _divides(vp, t):
+                    raise InvariantError("oracle rows", "both sides divide a target", e)
+                rows.append(tuple(b - a for a, b in zip(v, vp)))
+            elif _divides(vp, t):
+                rows.append(tuple(a - b for a, b in zip(v, vp)))
+    return ConeSystem(len(u), rows)
+
+
+def oracle_sieve(graver, monkeypatch):
+    """cone_sieve with the lemma and the cone rows of the oracle."""
+    with monkeypatch.context() as m:
+        m.setattr("codegb.universal.prune_by_lemma", oracle_prune)
+        m.setattr("codegb.universal.cone_rows", oracle_rows)
+        return cone_sieve(graver)
+
+
+SWEEP = {
+    "p19n3": ((19, 1, (0, 1)), "1 7 3", ORDINARY, None),
+    "p29n3": ((29, 1, (0, 1)), "1 7 12", ORDINARY, None),
+    "tgen5": ((3, 1, (0, 1)), "1 2 1 1 2", GENERALIZED, None),
+    # exponents up to 131 and 257: the packing widens past 8-bit fields
+    "gf131": ((131, 1, (0, 1)), "1 5 17", ORDINARY, (183, 34)),
+    "gf257": ((257, 1, (0, 1)), "1 3", ORDINARY, (90, 5)),
+}
+
+
+@pytest.mark.parametrize("name", ["rep2", "f3"] + list(SWEEP))
+def test_packed_lemma_and_cone_rows_agree_with_the_tuple_oracle(name, rep2, code_f3, monkeypatch):
+    if name in SWEEP:
+        field, tokens, kind, sizes = SWEEP[name]
+        code = parity_code(*field, tokens)
+        graver = graver_generalized(code) if kind == GENERALIZED else graver_ordinary(code)
+    else:
+        sizes, graver = None, graver_ordinary(rep2 if name == "rep2" else code_f3)
+    survivors = 0
+    for b in graver.elements:
+        for g in (b, b.swapped()):
+            pruned = oracle_prune(g, graver)
+            assert prune_by_lemma(g, graver) == pruned, g
+            if pruned:
+                continue
+            survivors += 1
+            try:
+                rows = oracle_rows(g, graver).rows
+            except InvariantError:
+                # only 1 - x^u': g itself has both sides dividing the target u'
+                assert not any(g.lhs)
+                with pytest.raises(InvariantError, match="both sides divide one target"):
+                    cone_rows(g, graver)
+                continue
+            assert cone_rows(g, graver).rows == rows, g
+    assert survivors > 0
+    u = cone_sieve(graver)
+    assert u.witnesses == oracle_sieve(graver, monkeypatch).witnesses
+    if sizes:
+        assert (len(graver), len(u)) == sizes
+
+
+def test_packed_lemma_widens_for_a_large_exponent_off_the_basis(rep2):
+    # x1^2 - 1 rewrites x1^200*x2 and x2^2 - 1 rewrites x2^300; x1 - x2 is
+    # kept, also once the packing has widened past 8-bit fields
+    graver = graver_ordinary(rep2)
+    x1_x2, wide1, wide2 = Binomial((1, 0), (0, 1)), Binomial((200, 1), (0, 0)), Binomial((1, 0), (0, 300))
+    for g, pruned in ((x1_x2, False), (wide1, True), (wide2, True), (x1_x2, False)):
+        assert prune_by_lemma(g, graver) == oracle_prune(g, graver) == pruned, g
+
+
 def test_repetition_code_universal_basis(rep2):
     u = universal_basis(graver_ordinary(rep2))
     assert pairs(u) == {((1, 0), (0, 1)), ((2, 0), (0, 0)), ((0, 2), (0, 0))}
