@@ -8,10 +8,6 @@ from typing import Sequence
 from .fields import FieldElement, FiniteField
 
 
-class MissingGeneratorError(ValueError):
-    """An operation needed a generator matrix but the code has none."""
-
-
 def _rref(ff: FiniteField, rows):
     """Reduced row echelon form over GF(q); returns (rows, pivot columns)."""
     rows = [list(r) for r in rows]
@@ -57,12 +53,12 @@ def nullspace(ff: FiniteField, rows, n: int):
 
 
 class LinearCode:
-    """An [n, k] code: H is (n-k) x n of full rank, G (optional) is k x n.
+    """An [n, k] code: H is (n-k) x n of full rank, G is k x n.
 
     Words are tuples of FieldElement; membership means H . w^T = 0.
     """
 
-    def __init__(self, ff: FiniteField, n: int, parity_rows, generator_rows=None):
+    def __init__(self, ff: FiniteField, n: int, parity_rows, generator_rows):
         self.ff = ff
         self.n = n
         H = tuple(tuple(row) for row in parity_rows)
@@ -73,18 +69,15 @@ class LinearCode:
         self.H = H
         self.m = len(H)
         self.k = n - self.m
-        if generator_rows is not None:
-            G = tuple(tuple(row) for row in generator_rows)
-            if len(G) != self.k or any(len(row) != n for row in G):
-                raise ValueError(f"generator matrix must be {self.k} x {n}")
-            if rank(ff, G) != self.k:
-                raise ValueError("generator rows are dependent")
-            for g in G:
-                if any(self._syndrome(g)):
-                    raise ValueError("generator row is not annihilated by the parity matrix")
-            self.G = G
-        else:
-            self.G = None
+        G = tuple(tuple(row) for row in generator_rows)
+        if len(G) != self.k or any(len(row) != n for row in G):
+            raise ValueError(f"generator matrix must be {self.k} x {n}")
+        if rank(ff, G) != self.k:
+            raise ValueError("generator rows are dependent")
+        for g in G:
+            if any(self._syndrome(g)):
+                raise ValueError("generator row is not annihilated by the parity matrix")
+        self.G = G
 
     @classmethod
     def from_parity(cls, ff: FiniteField, rows) -> "LinearCode":
@@ -120,17 +113,14 @@ class LinearCode:
         return not any(self._syndrome(word))
 
     def generator_rows(self):
-        if self.G is None:
-            raise MissingGeneratorError("code was built without a generator matrix")
         return self.G
 
     def codewords(self):
-        """All q^k codewords (enumerated from G, or from the parity kernel)."""
-        basis = self.G if self.G is not None else tuple(nullspace(self.ff, self.H, self.n))
+        """All q^k codewords, enumerated from G."""
         ff = self.ff
-        for coeffs in product(ff.elements(), repeat=len(basis)):
+        for coeffs in product(ff.elements(), repeat=self.k):
             w = [ff.zero()] * self.n
-            for c, row in zip(coeffs, basis):
+            for c, row in zip(coeffs, self.G):
                 if c:
                     w = [acc + c * v for acc, v in zip(w, row)]
             yield tuple(w)

@@ -134,7 +134,7 @@ from .binomials import (
     substitute_ones,
     word_of_binomial,
 )
-from .codes import LinearCode, _rref, nullspace
+from .codes import LinearCode, _rref
 from .groebner import _Packed, _widening, buchberger
 from .matrices import build_He, build_Hplus_e, expansion, lawrence_lift
 from .orders import MonomialOrder, degrevlex
@@ -433,8 +433,7 @@ def _code_components(code: LinearCode) -> list:
     the merged rows span, and the supports are the fundamental circuits of
     the pivot basis, which link exactly the elements of a component."""
     ff = code.ff
-    G = code.G if code.G is not None else nullspace(ff, code.H, code.n)
-    rows, _ = _rref(ff, G)
+    rows, _ = _rref(ff, code.G)
     comp = {j: {j} for j in range(code.n)}
     for row in rows:
         merged = set().union(*(comp[j] for j, e in enumerate(row) if e))

@@ -1,16 +1,20 @@
-"""Exact feasibility of {x >= 0 : Ax >= b}, decided on the LP dual.
+"""Exact feasibility of the open cone {x >= 0 : Ax > 0}, decided on the LP dual.
 
-By Farkas' lemma the system is infeasible iff some y >= 0 has A^T y <= 0 and
-b^T y > 0.  So the solver runs the simplex method on
+For an integer matrix A the open cone has a point iff {x >= 0 : Ax >= 1}
+does (scale any point of the cone), and by Farkas' lemma that system is
+infeasible iff some y >= 0 has A^T y <= 0 and 1^T y > 0.  So the solver runs
+the simplex method on
 
-    max b^T y  s.t.  A^T y <= 0,  b^T y <= 1,  y >= 0
+    max 1^T y  s.t.  A^T y <= 0,  1^T y <= 1,  y >= 0
 
 from the basis y = 0, which is feasible since every right-hand side is 0 or
 1: no phase one, no artificial variables, and a tableau of d + 1 rows and
 m + d + 2 columns for d unknowns and m inequalities.  The optimum is 0 or 1.
-At 0 the reduced costs of the first d slack columns are the dual solution x,
-which satisfies the system exactly.  At 1 the basic y is a Farkas vector,
-re-checked exactly before infeasibility is reported.
+At 0 the reduced costs of the first d slack columns are the dual solution x
+times the last pivot, an integer point of the cone, returned divided by the
+gcd of its entries (each A_k x stays a positive integer, so still >= 1).
+At 1 the basic y is a Farkas vector, re-checked exactly before
+infeasibility is reported.
 
 Integer pivoting (fraction-free Gauss-Jordan; Edmonds 1967, Bareiss 1968).
 The tableau, objective row included, is kept as D times the true one, with
@@ -31,7 +35,7 @@ heuristic.  Entries stay bounded by the minors of the input.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .binomials import InvariantError
@@ -40,33 +44,28 @@ from .binomials import InvariantError
 _MAX_PIVOTS = 200000
 
 
-def _integral(v):
-    if isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1):
-        return int(v)
-    raise ValueError(f"lp entries must be integers, not {v!r}")
+def feasible_point(rows: Sequence[Sequence[int]], dim: int) -> Optional[tuple]:
+    """A primitive nonnegative integer x with rows[k] . x >= 1 for every k,
+    read off the dual optimum, or None when there is none.
 
-
-def feasible_point(
-    rows: Sequence[Sequence[int]], rhs: Sequence, dim: int
-) -> Optional[tuple]:
-    """Some nonnegative rational x with rows[k] . x >= rhs[k] for every k.
-
-    Entries of `rows` and `rhs` must be integers (ints, or Fractions with
-    denominator 1); anything else raises ValueError.  Returns None when the
-    system is infeasible, once a Farkas vector proving it has been checked.
+    Entries of `rows` must be ints; anything else (a bool, a float, a
+    Fraction) raises ValueError.  None is returned only once a Farkas vector
+    proving infeasibility has been checked exactly.
     """
     m, n = len(rows), dim
     if any(len(r) != n for r in rows):
         raise ValueError("row length disagrees with dim")
-    A = [[v if type(v) is int else _integral(v) for v in r] for r in rows]
-    b = [v if type(v) is int else _integral(v) for v in rhs]
-    # row i < n: (A^T y)_i + s_i = 0; row n: b^T y + s_n = 1; columns y, s, rhs
-    T = [[r[i] for r in A] + [0] * (n + 2) for i in range(n)]
-    T.append(b + [0] * (n + 1) + [1])
+    for r in rows:
+        for v in r:
+            if type(v) is not int:
+                raise ValueError(f"lp entries must be integers, not {v!r}")
+    # row i < n: (A^T y)_i + s_i = 0; row n: 1^T y + s_n = 1; columns y, s, rhs
+    T = [[r[i] for r in rows] + [0] * (n + 2) for i in range(n)]
+    T.append([1] * m + [0] * (n + 1) + [1])
     for i in range(n + 1):
         T[i][m + i] = 1
     basis = list(range(m, m + n + 1))
-    obj = [-v for v in b] + [0] * (n + 2)  # reduced costs; obj[-1] = b^T y
+    obj = [-1] * m + [0] * (n + 2)  # reduced costs; obj[-1] = 1^T y
     D = 1
 
     for _ in range(_MAX_PIVOTS):
@@ -85,7 +84,7 @@ def feasible_point(
                 if c < 0 or (c == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            raise InvariantError("lp", "dual objective unbounded despite b^T y <= 1", enter)
+            raise InvariantError("lp", "dual objective unbounded despite 1^T y <= 1", enter)
         prow = T[leave]
         p = prow[enter]
         for i in range(n + 1):
@@ -103,7 +102,9 @@ def feasible_point(
         raise InvariantError("lp", "pivot limit exceeded", _MAX_PIVOTS)
 
     if obj[-1] == 0:
-        return tuple(Fraction(v, D) for v in obj[m : m + n])
+        x = obj[m : m + n]
+        g = gcd(*x) or 1
+        return tuple(v // g for v in x)
     # the Farkas vector y scaled by D > 0, which changes none of its signs
     yD = [0] * m
     for i, j in enumerate(basis):
@@ -111,8 +112,8 @@ def feasible_point(
             yD[j] = T[i][-1]
     if (
         any(v < 0 for v in yD)
-        or any(sum(r[i] * v for r, v in zip(A, yD)) > 0 for i in range(n))
-        or sum(c * v for c, v in zip(b, yD)) <= 0
+        or any(sum(r[i] * v for r, v in zip(rows, yD)) > 0 for i in range(n))
+        or sum(yD) <= 0
     ):
         raise InvariantError("lp", "Farkas vector fails its exact check", tuple(yD))
     return None

@@ -17,10 +17,13 @@ costs two tests per element (`prune_by_lemma`).  The cone of x^u - x^u'
 tests the sides of each element against the targets u - e_j, j in supp(u),
 and u'; dividing some u - e_j is the same as properly dividing u, so two
 tests per side replace |supp u| + 1 (`cone_rows`, with the proof).  A cone
-is decided by an earlier witness that satisfies it, else by the exact LP
-solver (`lp`, integer pivoting), and every positive answer carries an
-integer weight-vector witness that has been re-substituted into all strict
-inequalities.
+is decided by an earlier nonnegative witness that satisfies it, else by the
+exact LP solver (`lp`, integer pivoting), and by nothing else: every
+positive answer carries a nonnegative integer weight-vector witness that
+has been re-substituted into all strict inequalities, and every negative one
+rests on a Farkas vector that the LP has checked exactly.  No sign pattern
+of the rows could decide a cone sooner: `cone_rows` proves that no row <= 0
+and no pair of rows r, -r reaches a cone of the sieve.
 
 Closed form at p = 2.  Both code ideals are lattice ideals of
 L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}, and by the closed
@@ -55,7 +58,6 @@ both kinds; it carries no witnesses.
 
 from __future__ import annotations
 
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .binomials import Binomial, BinomialSet, InvariantError
@@ -114,38 +116,22 @@ def _dot(r, w):
     return acc
 
 
-def _primitive(x):
-    """The primitive integer multiple of a rational vector (0 stays 0)."""
-    den = lcm(*(v.denominator for v in x))
-    w = [v.numerator * (den // v.denominator) for v in x]
-    g = gcd(*w) or 1
-    return tuple(v // g for v in w)
-
-
 def cone_is_empty(cone: ConeSystem, hints: Iterable[Sequence] = ()):
     """(True, None) when the open cone is empty, else (False, witness).
 
-    By conic scaling the strict system has a point iff {w >= 0 : Rw >= 1}
-    does.  Hints (earlier witnesses) are tried first and returned as given
-    when they satisfy every strict inequality; otherwise the exact LP decides,
-    and its point is scaled to its primitive integer multiple, still a point
-    of the open cone.  Every witness is checked back against all the strict
-    inequalities before being returned.
+    Hints (earlier witnesses) are tried first and returned as given when
+    they are nonnegative and satisfy every strict inequality; otherwise the
+    exact LP decides, and its primitive integer point, checked back against
+    all the strict inequalities, is the witness.  Nothing else decides a
+    cone, so every empty answer rests on a Farkas vector the LP has checked.
     """
     rows = cone.rows
-    if any(all(e <= 0 for e in r) for r in rows):
-        return True, None
-    rowset = set(rows)
-    for r in rows:
-        if tuple(-e for e in r) in rowset:
-            return True, None
     for w in hints:
-        if len(w) == cone.dim and all(_dot(r, w) > 0 for r in rows):
+        if len(w) == cone.dim and all(_dot(r, w) > 0 for r in rows) and min(w, default=0) >= 0:
             return False, tuple(w)
-    x = feasible_point(rows, [1] * len(rows), cone.dim)
-    if x is None:
+    w = feasible_point(rows, cone.dim)
+    if w is None:
         return True, None
-    w = _primitive(x)
     for r in rows:
         if _dot(r, w) <= 0:
             raise InvariantError("cone witness", f"LP point {w} violates row", r)
@@ -211,6 +197,16 @@ def cone_rows(g: Binomial, graver: GraverBasis) -> ConeSystem:
     a of e would divide u' and the other, b, properly divide u, so b - a
     would be conformal to u - u' and smaller, and g not primitive.  So each
     element gives at most one row, in the order of the targets.
+
+    Hence no row <= 0 and, for a lemma survivor, no pair r, -r leaves here,
+    and no cone of the sieve is closed by the signs of its rows alone.  The
+    sides of a Graver element have disjoint supports, so a row v' - v <= 0,
+    made because v divides a target, has v' = 0: it comes from x^v - 1, whose
+    side 1 divides every target, so both sides divide the target that v
+    divides, which raises the error above.  A row of e is +-(v' - v), the
+    lattice vector of e up to sign, and distinct Graver elements are
+    distinct up to sign, so two elements never give rows r and -r, and one
+    element gives at most one row.
     """
     pk, entries, u, up = _packed(g, graver)
     guard = pk.guard

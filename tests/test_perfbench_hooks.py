@@ -44,3 +44,21 @@ def test_spans_install_wraps_and_uninstall_restores(tmp_path):
         "groebner.saturate", "groebner.buchberger",
     }
     assert sum(tracer.self_times().values()) > 0
+
+
+def test_spans_of_a_cold_ugb_job_cover_the_sieve(tmp_path):
+    # parity 1 7 3 over GF(19) keeps most of its 28 elements through the LP
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, codegb)
+        doc = tmp_path / "p19.txt"
+        doc.write_text("field p=19 r=1 modulus=0,1\nparity 1 7 3\n")
+        tracer.active = True
+        assert codegb.cli.main(["ugb", str(doc), "--cache-dir", str(tmp_path / "cache")]) == 0
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    names = {rec[0] for rec in tracer.spans}
+    assert names >= {"universal.sieve", "universal.prune", "universal.cone_rows", "universal.cone", "lp.feasible"}
+    assert tracer.counts["universal.kept"] == 28 and tracer.counts["lp.calls"] > 0

@@ -49,14 +49,16 @@ def test_cone_system_dedups_and_rejects_bad_rows():
         ConeSystem(2, [(0, 0)])
 
 
-def test_cone_emptiness_shortcuts_and_lp_path():
+def test_cone_emptiness_shortcuts_and_lp_path(lp_calls):
+    # sign patterns that close a cone are left to the LP, like any other:
     # a row with no positive entry can never go strictly positive on w >= 0
     assert cone_is_empty(ConeSystem(2, [(0, -1), (1, 1)])) == (True, None)
     # opposite rows contradict each other
     assert cone_is_empty(ConeSystem(2, [(1, -1), (-1, 1)])) == (True, None)
-    # infeasible but only visible to the solver: adding the rows gives -w1-w2 > 0
+    # adding the rows gives -w1 - w2 > 0
     empty, w = cone_is_empty(ConeSystem(2, [(1, -2), (-2, 1)]))
     assert empty and w is None
+    assert len(lp_calls) == 3
 
 
 def test_cone_witnesses_are_checked_strictly():
@@ -73,6 +75,14 @@ def test_cone_hint_short_circuits_when_valid():
     # an invalid hint is ignored, not returned
     empty, w = cone_is_empty(ConeSystem(2, rows), hints=[(0, 1)])
     assert not empty and w != (0, 1)
+
+
+def test_a_negative_hint_is_never_a_witness():
+    # (1, -5) satisfies w1 > 0 but leaves the orthant the cone lives in
+    empty, w = cone_is_empty(ConeSystem(2, [(1, 0)]), hints=[(1, -5)])
+    assert not empty and w != (1, -5) and min(w) >= 0
+    # it satisfies both rows here too, where no w >= 0 has -w2 > 0
+    assert cone_is_empty(ConeSystem(2, [(1, -1), (0, -1)]), hints=[(1, -5)]) == (True, None)
 
 
 def is_primitive_int_tuple(w):
@@ -109,6 +119,30 @@ def test_sieve_witnesses_are_primitive_integer_vectors(lp_calls):
     u = universal_basis(graver_ordinary(parity_code(19, 1, (0, 1), "1 7 3")))
     assert len(u) == 28 and len(lp_calls) > 10
     assert all(is_primitive_int_tuple(w) for w in u.witnesses.values())
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """Counts of the empty cone decisions and of the LP calls that returned
+    None; each empty answer must come straight from such a call."""
+    counts = {"empty": 0, "lp_none": 0}
+
+    def lp(*args):
+        x = feasible_point(*args)
+        counts["lp_none"] += x is None
+        return x
+
+    def decide(cone, hints=()):
+        before = counts["lp_none"]
+        empty, w = cone_is_empty(cone, hints)
+        if empty:
+            assert counts["lp_none"] == before + 1, cone.rows
+            counts["empty"] += 1
+        return empty, w
+
+    monkeypatch.setattr("codegb.universal.feasible_point", lp)
+    monkeypatch.setattr("codegb.universal.cone_is_empty", decide)
+    return counts
 
 
 def test_a_valid_hint_skips_the_lp(lp_calls):
@@ -229,6 +263,9 @@ def test_packed_lemma_and_cone_rows_agree_with_the_tuple_oracle(name, rep2, code
                     cone_rows(g, graver)
                 continue
             assert cone_rows(g, graver).rows == rows, g
+            # the proof in cone_rows: no row <= 0 and no pair r, -r, so only
+            # the LP can close a cone of the sieve
+            assert not any(max(r) <= 0 or tuple(-e for e in r) in rows for r in rows), g
     assert survivors > 0
     u = cone_sieve(graver)
     assert u.witnesses == oracle_sieve(graver, monkeypatch).witnesses
@@ -365,7 +402,7 @@ def _random_code(rng, max_vars):
             return kind, LinearCode.from_parity(ff, rows)
 
 
-def test_char2_closed_form_equals_the_sieve_on_random_codes():
+def test_char2_closed_form_equals_the_sieve_on_random_codes(certified):
     # 150 seeded codes with at most 8 variables; about 8 s on a 2-core x86
     # VM: the sieve 7.6 s, the Graver step 0.3 s (5.7 s by completion), the
     # closed form 0.03 s (budget: 15 s)
@@ -379,6 +416,9 @@ def test_char2_closed_form_equals_the_sieve_on_random_codes():
         zero_columns += any(not any(col) for col in zip(*code.H))
     assert time.monotonic() - t0 < 15.0
     assert zero_columns > 0
+    # the closed form drops only elements the lemma prunes, so no cone is
+    # empty here, and no LP call returns None
+    assert certified == {"empty": 0, "lp_none": 0}
 
 
 @pytest.mark.parametrize(
@@ -406,23 +446,15 @@ def test_reduced_bases_under_random_weights_lie_in_the_universal_basis(p, rows):
     assert len(union) > len(buchberger(gens, degrevlex(dim)))  # the orders differ
 
 
-def test_t7_drops_two_elements_on_farkas_certificates(monkeypatch):
+def test_t7_drops_two_elements_on_farkas_certificates(certified):
     # the first code on which the LP proves cones empty: 211 Graver elements,
     # 97 pruned by the lemma, 112 kept and two dropped on Farkas vectors
-    infeasible = []
-
-    def counted(*args):
-        w = feasible_point(*args)
-        infeasible.append(w is None)
-        return w
-
-    monkeypatch.setattr("codegb.universal.feasible_point", counted)
     ff = FiniteField(3, 1, (0, 1))
     rows = [[ff.from_int(c) for c in row] for row in ((1, 1, 1, 0, 0, 0, 1), (0, 0, 1, 1, 2, 1, 2))]
     graver = graver_ordinary(LinearCode.from_parity(ff, rows))
     u = universal_basis(graver)
     assert (len(graver), len(u)) == (211, 112)
-    assert sum(infeasible) == 2
+    assert certified == {"empty": 2, "lp_none": 2}
     names = graver.elements.space.names()
     dropped = {
         text(b, names)
