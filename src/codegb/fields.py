@@ -63,9 +63,6 @@ class FieldElement:
         self.field = field
         self.k = k
 
-    def is_zero(self) -> bool:
-        return self.k == 0
-
     def __bool__(self) -> bool:
         return self.k != 0
 

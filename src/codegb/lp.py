@@ -13,8 +13,9 @@ m + d + 2 columns for d unknowns and m inequalities.  The optimum is 0 or 1.
 At 0 the reduced costs of the first d slack columns are the dual solution x
 times the last pivot, an integer point of the cone, returned divided by the
 gcd of its entries (each A_k x stays a positive integer, so still >= 1).
-At 1 the basic y is a Farkas vector, re-checked exactly before
-infeasibility is reported.
+At 1 the basic y is a Farkas vector.  Both answers are checked exactly
+before they leave: the point is substituted into every row, and the Farkas
+vector into A^T y <= 0 and 1^T y > 0.
 
 Integer pivoting (fraction-free Gauss-Jordan; Edmonds 1967, Bareiss 1968).
 The tableau, objective row included, is kept as D times the true one, with
@@ -49,8 +50,9 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int) -> Optional[tuple]:
     read off the dual optimum, or None when there is none.
 
     Entries of `rows` must be ints; anything else (a bool, a float, a
-    Fraction) raises ValueError.  None is returned only once a Farkas vector
-    proving infeasibility has been checked exactly.
+    Fraction) raises ValueError.  Both answers are checked exactly: a point
+    is returned only once it is >= 0 and satisfies every row, and None only
+    once a Farkas vector proving infeasibility has passed its check.
     """
     m, n = len(rows), dim
     if any(len(r) != n for r in rows):
@@ -104,7 +106,10 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int) -> Optional[tuple]:
     if obj[-1] == 0:
         x = obj[m : m + n]
         g = gcd(*x) or 1
-        return tuple(v // g for v in x)
+        x = tuple(v // g for v in x)
+        if any(v < 0 for v in x) or any(sum(a * v for a, v in zip(r, x)) < 1 for r in rows):
+            raise InvariantError("lp", "point fails its exact check", x)
+        return x
     # the Farkas vector y scaled by D > 0, which changes none of its signs
     yD = [0] * m
     for i, j in enumerate(basis):

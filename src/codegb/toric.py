@@ -10,8 +10,6 @@ homogeneous, which is arranged per matrix shape below.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .binomials import (
     Binomial,
     BinomialSet,
@@ -25,27 +23,9 @@ from .groebner import saturate_all
 from .matrices import IntMatrix
 
 
-class LatticeBasis:
-    """Basis of the kernel lattice {v in Z^N : Av = 0}."""
-
-    __slots__ = ("dim", "vectors")
-
-    def __init__(self, dim: int, vectors: Sequence[Sequence[int]]):
-        self.dim = dim
-        self.vectors = tuple(tuple(v) for v in vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __repr__(self):
-        return f"LatticeBasis(dim={self.dim}, {len(self.vectors)} vectors)"
-
-
-def kernel_basis(A: IntMatrix) -> LatticeBasis:
-    """Lattice basis of the integer kernel of A (column vectors v, Av = 0)."""
+def kernel_basis(A: IntMatrix) -> tuple:
+    """Lattice basis of the integer kernel of A: a tuple of int vectors v of
+    length A.ncols with Av = 0."""
     m, n = A.nrows, A.ncols
     M = [list(A.row(i)) for i in range(m)]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -89,8 +69,7 @@ def kernel_basis(A: IntMatrix) -> LatticeBasis:
                 break
         if col < n and M[r][col] != 0:
             col += 1
-    vectors = [tuple(U[i][j] for i in range(n)) for j in range(col, n)]
-    return LatticeBasis(n, vectors)
+    return tuple(tuple(U[i][j] for i in range(n)) for j in range(col, n))
 
 
 def _lattice_generators(A: IntMatrix, space: VariableSpace) -> BinomialSet:

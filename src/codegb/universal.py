@@ -20,10 +20,11 @@ tests per side replace |supp u| + 1 (`cone_rows`, with the proof).  A cone
 is decided by an earlier nonnegative witness that satisfies it, else by the
 exact LP solver (`lp`, integer pivoting), and by nothing else: every
 positive answer carries a nonnegative integer weight-vector witness that
-has been re-substituted into all strict inequalities, and every negative one
-rests on a Farkas vector that the LP has checked exactly.  No sign pattern
-of the rows could decide a cone sooner: `cone_rows` proves that no row <= 0
-and no pair of rows r, -r reaches a cone of the sieve.
+has been substituted into every strict inequality, and every negative one
+rests on a Farkas vector; `feasible_point` checks both of its answers
+exactly before returning either.  No sign pattern of the rows could decide
+a cone sooner: `cone_rows` proves that no row <= 0 and no pair of rows
+r, -r reaches a cone of the sieve.
 
 Closed form at p = 2.  Both code ideals are lattice ideals of
 L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}, and by the closed
@@ -66,30 +67,6 @@ from .groebner import _Packed, _widening
 from .lp import feasible_point
 
 
-class ConeSystem:
-    """Open cone {w >= 0 : row . w > 0 for every row}."""
-
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, dim: int, rows: Iterable[Sequence[int]]):
-        rs = []
-        seen = set()
-        for r in rows:
-            t = tuple(r)
-            if len(t) != dim:
-                raise ValueError("cone row length disagrees with dim")
-            if not any(t):
-                raise InvariantError("cone system", "zero cone row", t)
-            if t not in seen:
-                seen.add(t)
-                rs.append(t)
-        self.dim = dim
-        self.rows = tuple(rs)
-
-    def __repr__(self):
-        return f"ConeSystem(dim={self.dim}, {len(self.rows)} rows)"
-
-
 class UniversalBasis:
     """Union of all reduced Groebner bases, one canonical orientation each."""
 
@@ -116,26 +93,28 @@ def _dot(r, w):
     return acc
 
 
-def cone_is_empty(cone: ConeSystem, hints: Iterable[Sequence] = ()):
-    """(True, None) when the open cone is empty, else (False, witness).
+def cone_is_empty(rows: Sequence[Sequence[int]], hints: Iterable[Sequence] = ()):
+    """(True, None) when the open cone {w >= 0 : r . w > 0 for every row r}
+    is empty, else (False, witness).
 
-    Hints (earlier witnesses) are tried first and returned as given when
-    they are nonnegative and satisfy every strict inequality; otherwise the
-    exact LP decides, and its primitive integer point, checked back against
-    all the strict inequalities, is the witness.  Nothing else decides a
-    cone, so every empty answer rests on a Farkas vector the LP has checked.
+    The cone lives in dimension len(rows[0]); no rows, or rows of different
+    lengths, raise ValueError.  Hints (earlier witnesses) are tried first
+    and returned as given when they are nonnegative and satisfy every strict
+    inequality; otherwise the exact LP decides, and `feasible_point` checks
+    either answer before it leaves: its point against every row, its Farkas
+    vector before None.  A zero row needs no case of its own: no hint
+    satisfies it, and the LP proves the cone empty.
     """
-    rows = cone.rows
+    if not rows:
+        raise ValueError("a cone needs at least one row")
+    dim = len(rows[0])
+    if any(len(r) != dim for r in rows):
+        raise ValueError("cone rows differ in length")
     for w in hints:
-        if len(w) == cone.dim and all(_dot(r, w) > 0 for r in rows) and min(w, default=0) >= 0:
+        if len(w) == dim and min(w, default=0) >= 0 and all(_dot(r, w) > 0 for r in rows):
             return False, tuple(w)
-    w = feasible_point(rows, cone.dim)
-    if w is None:
-        return True, None
-    for r in rows:
-        if _dot(r, w) <= 0:
-            raise InvariantError("cone witness", f"LP point {w} violates row", r)
-    return False, w
+    w = feasible_point(rows, dim)
+    return w is None, w
 
 
 def _packed(g: Binomial, graver: GraverBasis):
@@ -177,8 +156,9 @@ def prune_by_lemma(g: Binomial, graver: GraverBasis) -> bool:
     return False
 
 
-def cone_rows(g: Binomial, graver: GraverBasis) -> ConeSystem:
-    """Cone system for g with designated sides (u, u') = (g.lhs, g.rhs).
+def cone_rows(g: Binomial, graver: GraverBasis) -> tuple:
+    """Rows of the cone of g with designated sides (u, u') = (g.lhs, g.rhs),
+    a tuple of int tuples of length len(u).
 
     Targets are u minus one variable, for each variable in the support of u,
     plus u' itself.  For each Graver element, whichever side divides a target
@@ -206,7 +186,8 @@ def cone_rows(g: Binomial, graver: GraverBasis) -> ConeSystem:
     divides, which raises the error above.  A row of e is +-(v' - v), the
     lattice vector of e up to sign, and distinct Graver elements are
     distinct up to sign, so two elements never give rows r and -r, and one
-    element gives at most one row.
+    element gives at most one row.  So the rows of a lemma survivor are
+    distinct and nonzero, one per element at most, and u - u' is among them.
     """
     pk, entries, u, up = _packed(g, graver)
     guard = pk.guard
@@ -222,7 +203,7 @@ def cone_rows(g: Binomial, graver: GraverBasis) -> ConeSystem:
             rows.append(r)
         if hvp:
             rows.append(nr)
-    return ConeSystem(len(g.lhs), rows)
+    return tuple(rows)
 
 
 def _oriented(g: Binomial) -> Binomial:

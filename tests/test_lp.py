@@ -143,6 +143,15 @@ def test_pivot_limit_is_a_typed_error(monkeypatch):
         feasible_point([(1, -1)], 2)
 
 
+@pytest.mark.parametrize("g", [-1, 10**9], ids=["negated-point", "zeroed-point"])
+def test_a_point_is_checked_against_every_row(monkeypatch, g):
+    # a wrong divisor stands in for a solver fault: -1 leaves the orthant,
+    # and a huge one floors the point to 0, which satisfies no row
+    monkeypatch.setattr("codegb.lp.gcd", lambda *x: g)
+    with pytest.raises(InvariantError, match="lp: point fails its exact check"):
+        feasible_point([(1, -1), (0, 1)], 2)
+
+
 def test_row_length_is_checked():
     with pytest.raises(ValueError):
         feasible_point([(1, 2, 3)], 2)

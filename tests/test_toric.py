@@ -27,7 +27,7 @@ def rational_rank(rows):
 def test_kernel_vectors_annihilate():
     A = IntMatrix([[1, 2, 1, 0, 0, 0, 3], [1, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 1, 0]])
     kb = kernel_basis(A)
-    assert kb.dim == 7
+    assert all(len(v) == 7 for v in kb)
     assert len(kb) == 7 - rational_rank([list(A.row(i)) for i in range(A.nrows)])
     for v in kb:
         for i in range(A.nrows):

@@ -21,7 +21,6 @@ from codegb.groebner import buchberger
 from codegb.lp import feasible_point
 from codegb.orders import WeightOrder, degrevlex
 from codegb.universal import (
-    ConeSystem,
     cone_is_empty,
     cone_rows,
     cone_sieve,
@@ -40,49 +39,63 @@ def pairs(basis):
     return {(b.lhs, b.rhs) for b in basis.elements}
 
 
-def test_cone_system_dedups_and_rejects_bad_rows():
-    c = ConeSystem(2, [(1, 0), (1, 0), (0, -1)])
-    assert c.rows == ((1, 0), (0, -1))
-    with pytest.raises(ValueError):
-        ConeSystem(3, [(1, 0)])
-    with pytest.raises(InvariantError, match="cone system: zero cone row"):
-        ConeSystem(2, [(0, 0)])
+def test_ragged_cone_rows_are_rejected_before_any_hint(lp_calls):
+    # zip would cut (1, 0, -1) to (1, 0), which the hint (1, 1) satisfies
+    for rows in ([(1, 0), (1, 0, -1)], [(1, 0, -1), (1, 0)]):
+        with pytest.raises(ValueError, match="differ in length"):
+            cone_is_empty(rows, hints=[(1, 1)])
+    assert lp_calls == []
+
+
+def test_a_cone_without_rows_is_rejected(lp_calls):
+    with pytest.raises(ValueError, match="at least one row"):
+        cone_is_empty([], hints=[(1, 1)])
+    with pytest.raises(ValueError, match="at least one row"):
+        cone_is_empty(())
+    assert lp_calls == []
+
+
+def test_a_zero_row_is_an_empty_cone_the_lp_proves(lp_calls):
+    # no hint satisfies 0 > 0; the LP's Farkas vector is the zero row's unit
+    # vector, and it is checked before None goes out
+    assert cone_is_empty([(1, 1), (0, 0)], hints=[(1, 1)]) == (True, None)
+    assert len(lp_calls) == 1
 
 
 def test_cone_emptiness_shortcuts_and_lp_path(lp_calls):
     # sign patterns that close a cone are left to the LP, like any other:
     # a row with no positive entry can never go strictly positive on w >= 0
-    assert cone_is_empty(ConeSystem(2, [(0, -1), (1, 1)])) == (True, None)
+    assert cone_is_empty([(0, -1), (1, 1)]) == (True, None)
     # opposite rows contradict each other
-    assert cone_is_empty(ConeSystem(2, [(1, -1), (-1, 1)])) == (True, None)
+    assert cone_is_empty([(1, -1), (-1, 1)]) == (True, None)
     # adding the rows gives -w1 - w2 > 0
-    empty, w = cone_is_empty(ConeSystem(2, [(1, -2), (-2, 1)]))
+    empty, w = cone_is_empty([(1, -2), (-2, 1)])
     assert empty and w is None
     assert len(lp_calls) == 3
 
 
 def test_cone_witnesses_are_checked_strictly():
     rows = [(1, -1, 0), (0, 1, -1), (0, 0, 1)]
-    empty, w = cone_is_empty(ConeSystem(3, rows))
+    empty, w = cone_is_empty(rows)
     assert not empty
     assert all(sum(a * b for a, b in zip(r, w)) > 0 for r in rows)
 
 
 def test_cone_hint_short_circuits_when_valid():
     rows = [(1, -1), (0, 1)]
-    empty, w = cone_is_empty(ConeSystem(2, rows), hints=[(5, 1)])
+    empty, w = cone_is_empty(rows, hints=[(5, 1)])
     assert not empty and w == (5, 1)
     # an invalid hint is ignored, not returned
-    empty, w = cone_is_empty(ConeSystem(2, rows), hints=[(0, 1)])
+    empty, w = cone_is_empty(rows, hints=[(0, 1)])
     assert not empty and w != (0, 1)
 
 
 def test_a_negative_hint_is_never_a_witness():
     # (1, -5) satisfies w1 > 0 but leaves the orthant the cone lives in
-    empty, w = cone_is_empty(ConeSystem(2, [(1, 0)]), hints=[(1, -5)])
+    empty, w = cone_is_empty([(1, 0)], hints=[(1, -5)])
     assert not empty and w != (1, -5) and min(w) >= 0
     # it satisfies both rows here too, where no w >= 0 has -w2 > 0
-    assert cone_is_empty(ConeSystem(2, [(1, -1), (0, -1)]), hints=[(1, -5)]) == (True, None)
+    assert cone_is_empty([(1, -1), (0, -1)], hints=[(1, -5)]) == (True, None)
 
 
 def is_primitive_int_tuple(w):
@@ -97,7 +110,7 @@ def test_lp_witnesses_are_primitive_integer_vectors():
         ((7, -3, 0, 1), (0, 5, -4, 0), (-1, 0, 3, 0)): (36, 53, 43, 0),
     }
     for rows, scaled in cones.items():
-        empty, w = cone_is_empty(ConeSystem(len(rows[0]), rows))
+        empty, w = cone_is_empty(rows)
         assert not empty and w == scaled and is_primitive_int_tuple(w)
 
 
@@ -132,11 +145,11 @@ def certified(monkeypatch):
         counts["lp_none"] += x is None
         return x
 
-    def decide(cone, hints=()):
+    def decide(rows, hints=()):
         before = counts["lp_none"]
-        empty, w = cone_is_empty(cone, hints)
+        empty, w = cone_is_empty(rows, hints)
         if empty:
-            assert counts["lp_none"] == before + 1, cone.rows
+            assert counts["lp_none"] == before + 1, rows
             counts["empty"] += 1
         return empty, w
 
@@ -147,9 +160,9 @@ def certified(monkeypatch):
 
 def test_a_valid_hint_skips_the_lp(lp_calls):
     rows = [(1, -1, 0), (0, 1, -1), (0, 0, 1)]
-    assert cone_is_empty(ConeSystem(3, rows), hints=[(1, 1, 1), (3, 2, 1)]) == (False, (3, 2, 1))
+    assert cone_is_empty(rows, hints=[(1, 1, 1), (3, 2, 1)]) == (False, (3, 2, 1))
     assert lp_calls == []
-    empty, w = cone_is_empty(ConeSystem(3, rows), hints=[(1, 1, 1)])
+    empty, w = cone_is_empty(rows, hints=[(1, 1, 1)])
     assert not empty and len(lp_calls) == 1
 
 
@@ -163,10 +176,10 @@ def test_prune_lemma_on_the_repetition_code(rep2):
 
 def test_cone_rows_contain_the_strictness_row(code_f3):
     graver = graver_ordinary(code_f3)
-    cone = cone_rows(Binomial((1, 0, 0), (0, 0, 1)), graver)
-    assert cone.dim == 3
+    rows = cone_rows(Binomial((1, 0, 0), (0, 0, 1)), graver)
+    assert all(len(r) == 3 for r in rows)
     # the element itself divides its own second target and demands w.u > w.u'
-    assert (1, 0, -1) in cone.rows
+    assert (1, 0, -1) in rows
 
 
 def test_cone_rows_reject_an_element_with_both_sides_dividing_one_target(rep2):
@@ -181,10 +194,18 @@ def test_cone_rows_of_a_pruned_element_may_hold_opposite_rows(rep2):
     # each divided by one side of x1 - x2, whose two rows close the cone
     # whatever their order
     graver = graver_ordinary(rep2)
-    cone = cone_rows(Binomial((1, 1), (0, 0)), graver)
-    assert {(1, -1), (-1, 1)} <= set(cone.rows)
-    assert set(cone.rows) == set(oracle_rows(Binomial((1, 1), (0, 0)), graver).rows)
-    assert cone_is_empty(cone) == (True, None)
+    rows = cone_rows(Binomial((1, 1), (0, 0)), graver)
+    assert {(1, -1), (-1, 1)} <= set(rows)
+    assert set(rows) == set(oracle_rows(Binomial((1, 1), (0, 0)), graver))
+    assert cone_is_empty(rows) == (True, None)
+
+
+def vector(b):
+    return tuple(x - y for x, y in zip(b.lhs, b.rhs))
+
+
+def neg(r):
+    return tuple(-x for x in r)
 
 
 def _divides(a, b):
@@ -203,8 +224,9 @@ def oracle_prune(g, graver):
 
 
 def oracle_rows(g, graver):
-    """The cone rows of g, each side of each element tested against every
-    target u - e_j with j in supp(u), then u'."""
+    """The distinct cone rows of g, each side of each element tested against
+    every target u - e_j with j in supp(u), then u'; a side that divides
+    several targets gives its row once."""
     u, up = g.lhs, g.rhs
     targets = [tuple(e - (t == j) for t, e in enumerate(u)) for j in range(len(u)) if u[j]] + [up]
     rows = []
@@ -217,7 +239,7 @@ def oracle_rows(g, graver):
                 rows.append(tuple(b - a for a, b in zip(v, vp)))
             elif _divides(vp, t):
                 rows.append(tuple(a - b for a, b in zip(v, vp)))
-    return ConeSystem(len(u), rows)
+    return tuple(dict.fromkeys(rows))
 
 
 def oracle_sieve(graver, monkeypatch):
@@ -235,6 +257,8 @@ SWEEP = {
     # exponents up to 131 and 257: the packing widens past 8-bit fields
     "gf131": ((131, 1, (0, 1)), "1 5 17", ORDINARY, (183, 34)),
     "gf257": ((257, 1, (0, 1)), "1 3", ORDINARY, (90, 5)),
+    # GF(9) with a^2 + a + 2 = 0: two variables per position
+    "f9n3": ((3, 2, (2, 1, 1)), "a 1 a^2", ORDINARY, (128, 70)),
 }
 
 
@@ -246,6 +270,8 @@ def test_packed_lemma_and_cone_rows_agree_with_the_tuple_oracle(name, rep2, code
         graver = graver_generalized(code) if kind == GENERALIZED else graver_ordinary(code)
     else:
         sizes, graver = None, graver_ordinary(rep2 if name == "rep2" else code_f3)
+    # each element by its lattice vector, taken up to sign
+    element_of = {max(v, neg(v)): e for e in graver.elements for v in [vector(e)]}
     survivors = 0
     for b in graver.elements:
         for g in (b, b.swapped()):
@@ -255,17 +281,23 @@ def test_packed_lemma_and_cone_rows_agree_with_the_tuple_oracle(name, rep2, code
                 continue
             survivors += 1
             try:
-                rows = oracle_rows(g, graver).rows
+                rows = oracle_rows(g, graver)
             except InvariantError:
                 # only 1 - x^u': g itself has both sides dividing the target u'
                 assert not any(g.lhs)
                 with pytest.raises(InvariantError, match="both sides divide one target"):
                     cone_rows(g, graver)
                 continue
-            assert cone_rows(g, graver).rows == rows, g
-            # the proof in cone_rows: no row <= 0 and no pair r, -r, so only
-            # the LP can close a cone of the sieve
-            assert not any(max(r) <= 0 or tuple(-e for e in r) in rows for r in rows), g
+            assert cone_rows(g, graver) == rows, g
+            # the proof in cone_rows: g's own row u - u' is there, every row
+            # is nonzero and comes from a distinct element, and there is no
+            # row <= 0 and no pair r, -r, so only the LP can close a cone of
+            # the sieve
+            assert vector(g) in rows, g
+            assert all(any(r) for r in rows) and len(set(rows)) == len(rows), g
+            sources = [element_of[max(r, neg(r))] for r in rows]
+            assert len(set(sources)) == len(sources), g
+            assert not any(max(r) <= 0 or neg(r) in rows for r in rows), g
     assert survivors > 0
     u = cone_sieve(graver)
     assert u.witnesses == oracle_sieve(graver, monkeypatch).witnesses
@@ -343,7 +375,7 @@ def text(b, names):
 
 def parity_code(p, r, modulus, tokens):
     ff = FiniteField(p, r, modulus)
-    row = [ff.alpha() if t == "a" else ff.from_int(int(t)) for t in tokens.split()]
+    row = [ff.alpha() ** int(t[2:] or 1) if t[0] == "a" else ff.from_int(int(t)) for t in tokens.split()]
     return LinearCode.from_parity(ff, [row])
 
 
