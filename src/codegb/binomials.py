@@ -8,6 +8,7 @@ form (the degrevlex-larger side first).
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Sequence
 
 from .fields import FiniteField
@@ -172,8 +173,10 @@ class Binomial:
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: Sequence[int], rhs: Sequence[int]):
-        lhs = tuple(int(e) for e in lhs)
-        rhs = tuple(int(e) for e in rhs)
+        # index() passes ints and int-likes and raises TypeError on a float,
+        # a Fraction or a string, where int() would truncate or parse it
+        lhs = tuple(map(index, lhs))
+        rhs = tuple(map(index, rhs))
         if len(lhs) != len(rhs):
             raise DimensionMismatchError("sides live in different spaces")
         if any(e < 0 for e in lhs) or any(e < 0 for e in rhs):

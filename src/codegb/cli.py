@@ -193,12 +193,12 @@ def _elements_payload(binomials) -> list:
 
 
 def _header(doc: Document, args) -> dict:
-    """The job as the payload and the cache key both describe it: the command,
-    kind and order asked for, the field and the matrix rows as written."""
-    return {
+    """The job as the payload and the cache key both describe it: the command
+    and kind asked for, the order for `rgb` (the one command that reads it),
+    the field and the matrix rows as written."""
+    header = {
         "command": args.command,
         "kind": args.kind,
-        "order": args.order,
         "field": {
             "p": doc.p,
             "r": doc.r,
@@ -207,6 +207,9 @@ def _header(doc: Document, args) -> dict:
         },
         "matrix": {"role": doc.role, "rows": [list(t) for t in doc.rows]},
     }
+    if args.command == "rgb":
+        header["order"] = args.order
+    return header
 
 
 def _compute(doc: Document, args) -> dict:
@@ -423,7 +426,7 @@ def _cache_write(path: str, key_fields: dict, result: dict) -> None:
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(json.dumps(payload, sort_keys=True))  # dump() encodes in Python, dumps() in C
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -475,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--kind", choices=[ORDINARY, GENERALIZED], default=ORDINARY
         )
-        sp.add_argument("--order", choices=["lex", "degrevlex"], default="degrevlex")
+        if name == "rgb":
+            sp.add_argument("--order", choices=["lex", "degrevlex"], default="degrevlex")
         sp.add_argument("--format", choices=["text", "json"], default="text")
         sp.add_argument("--no-cache", action="store_true")
         sp.add_argument("--cache-dir", default=None)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
 
-from .fields import FieldElement, FiniteField
+from .fields import FiniteField
 
 
 def _rref(ff: FiniteField, rows):
@@ -38,9 +37,9 @@ def rank(ff: FiniteField, rows) -> int:
     return len(_rref(ff, rows)[1])
 
 
-def nullspace(ff: FiniteField, rows, n: int):
-    """Basis of {x in GF(q)^n : rows . x = 0}, one vector per free column."""
-    red, pivots = _rref(ff, rows)
+def nullspace(ff: FiniteField, red, pivots, n: int) -> tuple:
+    """Basis of {x in GF(q)^n : red . x = 0} for a reduced form (red, pivots)
+    of `_rref`, one vector per free column, in column order."""
     free = [j for j in range(n) if j not in pivots]
     basis = []
     for f in free:
@@ -49,68 +48,70 @@ def nullspace(ff: FiniteField, rows, n: int):
         for i, pc in enumerate(pivots):
             vec[pc] = -red[i][f]
         basis.append(tuple(vec))
-    return basis
+    return tuple(basis)
 
 
 class LinearCode:
-    """An [n, k] code: H is (n-k) x n of full rank, G is k x n.
+    """An [n, k] code: H is (n-k) x n and G is k x n, both of full rank,
+    and G . H^T = 0.
+
+    A code is built from the rows of one matrix and their role, parity or
+    generator.  One elimination, `_rref`, checks the given rows and derives
+    the other matrix: its rows are `nullspace` of the reduced form.  Nothing
+    is checked again, because the reduced form proves what a check would:
+
+    - the given rows are independent when each has a pivot;
+    - for a free column f, the derived vector v_f has 1 at f, 0 at the other
+      free columns and -red[i][f] at the pivot column of red[i].  So the v_f
+      are independent, and there are n - rank of them;
+    - red[i] is 1 at its own pivot column and 0 at the others, so
+      red[i] . v_f = red[i][f] - red[i][f] = 0.  Every reduced row annihilates
+      every v_f, and so does their row space, which is that of the given rows.
 
     Words are tuples of FieldElement; membership means H . w^T = 0.
     """
 
-    def __init__(self, ff: FiniteField, n: int, parity_rows, generator_rows):
+    def __init__(self, ff: FiniteField, rows, role: str):
+        if role not in ("parity", "generator"):
+            raise ValueError(f"role must be 'parity' or 'generator', not {role!r}")
+        rows = tuple(tuple(r) for r in rows)
+        if not rows:
+            raise ValueError(f"at least one {role} row required")
+        n = len(rows[0])
+        if any(len(r) != n for r in rows):
+            raise ValueError(f"{role} rows must have length n")
+        red, pivots = _rref(ff, rows)
+        if len(pivots) != len(rows):
+            raise ValueError(
+                "parity rows are dependent; pass a full-rank matrix"
+                if role == "parity" else "generator rows are dependent"
+            )
+        other = nullspace(ff, red, pivots, n)
         self.ff = ff
         self.n = n
-        H = tuple(tuple(row) for row in parity_rows)
-        if any(len(row) != n for row in H):
-            raise ValueError("parity rows must have length n")
-        if rank(ff, H) != len(H):
-            raise ValueError("parity rows are dependent; pass a full-rank matrix")
-        self.H = H
-        self.m = len(H)
+        self.H, self.G = (rows, other) if role == "parity" else (other, rows)
+        self.m = len(self.H)
         self.k = n - self.m
-        G = tuple(tuple(row) for row in generator_rows)
-        if len(G) != self.k or any(len(row) != n for row in G):
-            raise ValueError(f"generator matrix must be {self.k} x {n}")
-        if rank(ff, G) != self.k:
-            raise ValueError("generator rows are dependent")
-        for g in G:
-            if any(self._syndrome(g)):
-                raise ValueError("generator row is not annihilated by the parity matrix")
-        self.G = G
 
     @classmethod
     def from_parity(cls, ff: FiniteField, rows) -> "LinearCode":
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            raise ValueError("at least one parity row required")
-        n = len(rows[0])
-        return cls(ff, n, rows, generator_rows=nullspace(ff, rows, n))
+        return cls(ff, rows, "parity")
 
     @classmethod
     def from_generator(cls, ff: FiniteField, rows) -> "LinearCode":
-        rows = [tuple(r) for r in rows]
-        if not rows:
-            raise ValueError("at least one generator row required")
-        n = len(rows[0])
-        if rank(ff, rows) != len(rows):
-            raise ValueError("generator rows are dependent")
-        return cls(ff, n, nullspace(ff, rows, n), generator_rows=rows)
-
-    def _syndrome(self, word) -> tuple:
-        z = self.ff.zero()
-        out = []
-        for row in self.H:
-            acc = z
-            for h, w in zip(row, word):
-                acc = acc + h * w
-            out.append(acc)
-        return tuple(out)
+        return cls(ff, rows, "generator")
 
     def contains(self, word) -> bool:
         if len(word) != self.n:
             raise ValueError(f"word length {len(word)} != n = {self.n}")
-        return not any(self._syndrome(word))
+        z = self.ff.zero()
+        for row in self.H:
+            acc = z
+            for h, w in zip(row, word):
+                acc = acc + h * w
+            if acc:
+                return False
+        return True
 
     def generator_rows(self):
         return self.G

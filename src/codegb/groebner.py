@@ -188,7 +188,7 @@ def reduce(binom: Binomial, basis: GroebnerBasis) -> Optional[Binomial]:
         lhs, rhs = _widening(sides, basis._packed.width if basis._packed else 8)
     if lhs == rhs:
         return None
-    if basis.order.compare(lhs, rhs) < 0:
+    if basis.order.key(lhs) < basis.order.key(rhs):
         lhs, rhs = rhs, lhs
     return Binomial(lhs, rhs)
 

@@ -7,6 +7,7 @@ extension with p*I, and the p-Lawrence lifting.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from .binomials import GENERALIZED, ORDINARY, slot_elements
@@ -18,7 +19,7 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
+        entries = tuple(tuple(map(index, row)) for row in rows)  # no float or Fraction truncated
         if entries:
             ncols = len(entries[0]) if ncols is None else ncols
             if any(len(row) != ncols for row in entries):

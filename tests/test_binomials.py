@@ -1,5 +1,7 @@
 """Exponent-pair binomials, variable spaces and the generator builders."""
 
+from fractions import Fraction
+
 import pytest
 
 from codegb.binomials import (
@@ -47,6 +49,17 @@ def test_split_pos_neg():
 def test_binomial_rejects_equal_sides():
     with pytest.raises(ValueError):
         Binomial((1, 0), (1, 0))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(3, 2), Fraction(2, 1), "1"])
+def test_binomial_takes_integral_exponents_only(bad):
+    # int() would truncate 1.5 and Fraction(3, 2) to 1 and parse "1"
+    with pytest.raises(TypeError):
+        Binomial((bad, 0), (0, 1))
+    with pytest.raises(TypeError):
+        Binomial((0, 1), (0, bad))
+    b = Binomial((True, 0), (0, 2))  # int subclasses pass, as ints
+    assert b.lhs == (1, 0) and type(b.lhs[0]) is int
 
 
 def test_canonical_orientation_and_dedup():

@@ -221,6 +221,9 @@ def test_cache_hit_reproduces_bytes(capsys, f3_path, tmp_path):
     rc2, second, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert rc2 == 0 and second == first and err == ""
     assert entries[0].read_bytes() == before
+    # one compact, key-sorted JSON document, as json.dumps writes it
+    entry = before.decode("utf-8")
+    assert entry == json.dumps(json.loads(entry), sort_keys=True)
 
 
 def test_cache_key_ignores_format(capsys, f3_path, tmp_path):
@@ -238,8 +241,19 @@ def test_cache_key_separates_commands_and_orders(capsys, f3_path, tmp_path):
     cache = tmp_path / "cache"
     run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     run_cli(capsys, "ugb", f3_path, "--cache-dir", str(cache))
-    run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache), "--order", "lex")
-    assert len(list(cache.glob("*.json"))) == 3
+    run_cli(capsys, "rgb", f3_path, "--cache-dir", str(cache))
+    run_cli(capsys, "rgb", f3_path, "--cache-dir", str(cache), "--order", "lex")
+    assert len(list(cache.glob("*.json"))) == 4
+
+
+@pytest.mark.parametrize("command", ["matrix", "toric", "graver", "ugb", "verify"])
+def test_order_is_an_rgb_option_only(capsys, f3_path, tmp_path, command):
+    # no other result depends on an order, so none is keyed or computed twice by it
+    with pytest.raises(SystemExit) as ei:
+        main([command, f3_path, "--no-cache", "--order", "lex"])
+    assert ei.value.code == 2 and "--order" in capsys.readouterr().err
+    rc, out, _ = run_cli(capsys, command, f3_path, "--no-cache", "--format", "json")
+    assert rc == 0 and "order" not in json.loads(out)
 
 
 def test_corrupt_cache_is_reported_and_recomputed(capsys, f3_path, tmp_path):

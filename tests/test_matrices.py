@@ -1,5 +1,9 @@
 """Defining matrices: coordinate/crossed parity blocks, pI extension, lifting."""
 
+from fractions import Fraction
+
+import pytest
+
 from codegb.codes import LinearCode
 from codegb.fields import FiniteField
 from codegb.matrices import (
@@ -24,6 +28,14 @@ def test_intmatrix_basics():
     assert m.column(1) == (2, 4)
     assert rows_of(hstack(m, IntMatrix.identity(2))) == [[1, 2, 1, 0], [3, 4, 0, 1]]
     assert rows_of(vstack(m, IntMatrix.zeros(1, 2))) == [[1, 2], [3, 4], [0, 0]]
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), "1"])
+def test_intmatrix_takes_integral_entries_only(bad):
+    # int() would turn [[0.5, 1]] into ((0, 1),), a different matrix
+    with pytest.raises(TypeError):
+        IntMatrix([[bad, 1]])
+    assert IntMatrix([[False, True]]).entries == ((0, 1),)
 
 
 def test_He_of_the_gf4_two_row_code():
