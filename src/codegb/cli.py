@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("matrix", "print the defining integer matrices"),
         ("toric", "generating set of the associated toric ideal"),
         ("rgb", "reduced Groebner basis of the code ideal"),
-        ("graver", "Graver basis: circuit lifts at p = 2, else codewords and bricks"),
+        ("graver", "Graver basis: per component, a zero-sum walk or the codewords"),
         ("ugb", "universal Groebner basis: closed form at p = 2, else the cone sieve"),
         ("verify", "cross-check the pipeline against the brute-force oracle"),
     ]:

@@ -46,7 +46,8 @@ def nullspace(ff: FiniteField, red, pivots, n: int) -> tuple:
         vec = [ff.zero()] * n
         vec[f] = ff.one()
         for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][f]
+            if red[i][f]:
+                vec[pc] = -red[i][f]
         basis.append(tuple(vec))
     return tuple(basis)
 

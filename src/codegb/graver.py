@@ -1,46 +1,53 @@
-"""Graver bases of code ideals: circuits at p = 2, codewords and bricks at odd p.
+"""Graver bases of code ideals, one connected component of the code at a time.
 
 A binomial x^u - x^v lies in the ordinary (generalized) code ideal exactly
 when u - v lies in the lattice L = {d in Z^N : M d = 0 mod p}, with M the
 coordinate matrix H_e (the crossed matrix H_{+,e}), and the Graver basis of
 the ideal is the set of primitive vectors of L: the nonzero vectors to which
 no other nonzero lattice vector is conformal (u is conformal to d, u ⊑ d,
-when u_i d_i >= 0 and |u_i| <= |d_i| for every i).  The characteristic picks
-how they are found.
+when u_i d_i >= 0 and |u_i| <= |d_i| for every i).
 
-At p = 2 they have a closed form.  Let D = ker(M mod 2), the binary code
-that L lifts; a circuit of the column matroid of M mod 2 is a minimal
-nonempty set S of columns that sum to zero, i.e. the support of a
-minimal-support word of D (a zero column is a circuit of size one).
+Position j has S variables, one per slot element s_1..s_S
+(`slot_elements`).  The unit syndrome of the variable x[j,t] is H times its
+unit vector, s_t times column j of H, an element of GF(q)^m, which as an
+additive group is (Z/p)^e with e = rm.  Write phi(d) = sum_v d_v g_v for
+the unit syndromes g_v; then d lies in L exactly when phi(d) = 0.  So the
+primitive vectors of L are the minimal zero-sum vectors over the list of
+unit syndromes: phi(d) = 0, and phi(u) != 0 for every nonzero u ⊑ d other
+than d.  For any list of group elements, `_bricks` lists these by a
+depth-first walk (its docstring holds the proof), and a zero-sum-free
+vector on the way, one with phi(u) != 0 for every nonzero u ⊑ it, has at
+most L = e(p - 1) units: one less than the Davenport constant of (Z/p)^e
+(Olson, "A combinatorial problem on finite abelian groups I", J. Number
+Theory 1, 1969).
 
-- Claim 1: a primitive d != +-2e_i has entries in {-1, 0, 1}.  Otherwise
-  some |d_i| >= 2, and the lattice vector sign(d_i) 2e_i is conformal to d.
-  And 2e_i is primitive exactly when column i is nonzero: the only smaller
-  vector conformal to it is e_i, which lies in L when column i is zero.
-- Claim 2: a primitive d with entries in {-1, 0, 1} has a circuit S as its
-  support.  d mod 2 is the word 1_S of D; were 1_S' in D for a nonempty
-  S' inside S, d cut down to S' would be a lattice vector conformal to d.
-- Claim 3: every +-1 lift d of a circuit S is primitive.  A nonzero lattice
-  vector u ⊑ d has entries in {-1, 0, 1} and 1_supp(u) in D, so
-  supp(u) = S by minimality, and u = d.
+Components.  C is the direct sum of the codes of the connected components
+of its matroid, L the direct sum of their lattices, and the primitive
+vectors of a direct sum are those of its parts, since a vector with nonzero
+parts d_1 and d_2 has d_1 ⊑ d in the lattice.  `_code_components` finds
+the components and a parity and a generator matrix of each, and every
+component takes one of two enumerations:
 
-So the Graver basis is {x_i^2 - 1 : column i nonzero} together with the
-2^(|S|-1) sign patterns, up to +-, of every circuit S, and `_circuit_lifts`
-lists them with no lattice basis and no completion.  The circuits are listed
-per connected component of the matroid (`_circuits`); a component of rank r
-and n columns takes at most min(2^(n-r), sum_{i <= r} C(n, i)) steps, which
-is not bounded by the number of circuits in general.
+- Zero-sum walk (`_walk_vectors`): `_bricks` on the component's unit
+  syndromes.  Its minimal vectors are the component's primitive vectors.
+  With N = n S variables and the bound on the units, it visits at most
+  W = sum_{j <= min(N, L)} C(N, j) s^j min(C(L, j), (p - 1)^j) vectors: j
+  nonzero entries, each of s = 2 signs (s = 1 at p = 2, see the corollary)
+  and at most p - 1 in absolute value (p g = 0), together at most L.
+- Codewords (`_codeword_vectors`): q^k codewords for dimension k, each
+  tested at the n positions, about q^k n steps, by Claims A-C below.
 
-At odd p the primitive vectors are built position by position from the
-codewords of C.  Position j has S variables, one per slot element s_1..s_S
-(`slot_elements`), and a vector d in Z^N splits into bricks d_j in Z^S.
-Write phi(t) = sum_k t_k s_k in GF(q) for a brick t; then d lies in L
-exactly when its word (phi(d_1), ..., phi(d_n)) is a codeword of C (this is
-`word_of_binomial`).  For a brick t, Sub(t) = {phi(u) : u ⊑ t}, a set that
-holds 0 and phi(t); t is zero-sum-free when phi(u) != 0 for every nonzero
-u ⊑ t, and a minimal zero-sum brick when phi(t) = 0 and every proper
-nonzero u ⊑ t is zero-sum-free.  A brick padded with zeros to position j is
-a vector of Z^N, and u ⊑ d exactly when u_j ⊑ d_j at every j.
+`_brick_vectors` takes the walk when W < q^k n, else the codewords.  A code
+that is many copies of a small one thus costs the copies, not their
+product.
+
+Codewords.  A vector d in Z^N splits into bricks d_j in Z^S, one per
+position; phi of a brick is the field element phi(t) = sum_k t_k s_k, and d
+lies in L exactly when its word (phi(d_1), ..., phi(d_n)) is a codeword of
+C (this is `word_of_binomial`).  For a brick t, Sub(t) = {phi(u) : u ⊑ t};
+zero-sum-free and minimal zero-sum bricks are as above, over the slot
+elements.  A brick padded with zeros to position j is a vector of Z^N, and
+u ⊑ d exactly when u_j ⊑ d_j at every j.
 
 - Claim A: a primitive d with word 0 is one minimal zero-sum brick at a
   position j whose column of H is nonzero, and each such is primitive.
@@ -64,49 +71,58 @@ a vector of Z^N, and u ⊑ d exactly when u_j ⊑ d_j at every j.
   a c' gives u ⊑ d by picking u_j ⊑ d_j of value c'_j, and u lies in L and
   is neither 0 nor d.
 
-So the Graver basis is the minimal zero-sum bricks of Claim A together with,
+So the codewords give the minimal zero-sum bricks of Claim A together with,
 for every codeword c != 0, up to +-, each choice of one zero-sum-free brick
-of value c_j per position of supp(c) that passes Claim C; at p = 2, r = 1
-this reduces to Claims 1-3.  The bricks depend only on the field and the
-kind, and `_bricks` lists them by a depth-first walk that adds one signed
-slot at a time: t + ±e_k is zero-sum-free exactly when t is and -phi(±e_k)
-is not in Sub(t), and then Sub(t ± e_k) = Sub(t) ∪ (Sub(t) ± s_k).  Each step
-grows Sub, so the walk ends; in fact a zero-sum-free brick has at most
-r(p - 1) signed units, one less than the Davenport constant of (Z/p)^r, the
-additive group of GF(q) (Olson, "A combinatorial problem on finite abelian
-groups I", J. Number Theory 1, 1969).
+of value c_j per position of supp(c) that passes Claim C.  The bricks
+depend only on the field and the kind: `_bricks` on the slot elements, at
+most r(p - 1) units each.  Claim C is decided for every codeword at once
+with bitsets.  Let B[j][v] be the set of codewords whose entry j is v, and
+F(j, t) the union of B[j][v] over v in Sub(t).  For a codeword c, a
+depth-first search picks one brick per position of supp(c), and prunes a
+partial choice as soon as the intersection of the chosen F's, of
+B[j][0] ∪ B[j][c_j] at the support positions not yet chosen, and of B[j][0]
+off the support holds a codeword other than 0 and c.  Choosing a brick only
+grows the sets (Sub(t) holds 0 and c_j), so a pruned choice has no
+primitive completion, and every leaf is primitive by Claim C: no sort and
+no conformal filter.  Building primitive vectors from per-block pieces
+follows the decomposition of test sets of Hemmecke and Schultz
+("Decomposition of test sets in stochastic integer programming", Math.
+Prog. 94, 2003).
 
-`_brick_vectors` decides Claim C for every codeword at once with bitsets.
-Let B[j][v] be the set of codewords whose entry j is v, and F(j, t) the
-union of B[j][v] over v in Sub(t).  For a codeword c, a depth-first search
-picks one brick per position of supp(c), and prunes a partial choice as soon
-as the intersection of the chosen F's, of B[j][0] ∪ B[j][c_j] at the
-support positions not yet chosen, and of B[j][0] off the support holds a
-codeword other than 0 and c.  Choosing a brick only grows the sets (Sub(t)
-holds 0 and c_j), so a pruned choice has no primitive completion, and every
-leaf is primitive by Claim C: no sort and no conformal filter.  The
-codewords are enumerated per connected component of the column matroid of
-a generator matrix (`_code_components`): C is the direct sum of the
-components' codes, L the direct sum of their lattices, and the primitive
-vectors of a direct sum are those of its parts, since a vector with nonzero
-parts d_1 and d_2 has d_1 ⊑ d in the lattice.  A code that is many copies
-of a small one thus costs the copies' codewords, not their product; but a
-component of dimension k costs q^k codewords, each tested on sets of q^k
-bits, whatever the size of its Graver basis.
-Building primitive vectors from per-block pieces follows the decomposition
-of test sets of Hemmecke and Schultz ("Decomposition of test sets in
-stochastic integer programming", Math. Prog. 94, 2003).
+The p = 2 corollary.  At p = 2, -g = g for every group element, so a sign
+flip of any entries maps L onto itself and keeps conformality: the
+primitive vectors are the sign patterns of the nonnegative ones, and both
+enumerations list only those (one sign).  Each is expanded into its
+2^(s-1) sign patterns for s nonzero entries, the first entry +1.  Let D be
+the binary code ker(M mod 2), and a circuit of the column matroid of
+M mod 2 a minimal nonempty set S of columns that sum to zero (a zero column
+is a circuit of size one).
+
+- Claim 1: a primitive d != +-2e_i has entries in {-1, 0, 1}.  Otherwise
+  some |d_i| >= 2, and the lattice vector sign(d_i) 2e_i is conformal to d.
+  And 2e_i is primitive exactly when column i is nonzero: the only smaller
+  vector conformal to it is e_i, which lies in L when column i is zero.
+- Claim 2: a primitive d with entries in {-1, 0, 1} has a circuit S as its
+  support.  d mod 2 is the word 1_S of D; were 1_S' in D for a nonempty
+  S' inside S, d cut down to S' would be a lattice vector conformal to d.
+- Claim 3: every +-1 lift d of a circuit S is primitive.  A nonzero lattice
+  vector u ⊑ d has entries in {-1, 0, 1} and 1_supp(u) in D, so
+  supp(u) = S by minimality, and u = d.
+
+So the Graver basis at p = 2 is {x_i^2 - 1 : column i nonzero} together
+with the 2^(|S|-1) sign patterns, up to +-, of every circuit S: the
+nonnegative minimal vectors are 2e_i and the 0/1 vectors 1_S.
 
 The completion procedure of Pottier ("The Euclidean algorithm in dimension
 n", ISSAC 1996) and Hemmecke ("On the positive sum property and the
 computation of Graver test sets", Math. Prog. 96, 2002), `_primitive_vectors`,
 computes primitive vectors in Z^N from any lattice basis; it serves the
-tests as the oracle of both routes.  Its conformal reduction is the normal
-form of groebner._Packed, the one that Buchberger's loop uses, in doubled
-variables x, y: u ⊑ v exactly when x^(u+) y^(u-) divides x^(v+) y^(v-) (the
-Lawrence lifting; Sturmfels, "Gröbner Bases and Convex Polytopes", 1996,
-Ch. 7), so each element u becomes the rules x^(u+) y^(u-) -> 1 and
-x^(u-) y^(u+) -> 1.
+tests as the oracle of both enumerations.  Its conformal reduction is the
+normal form of groebner._Packed, the one that Buchberger's loop uses, in
+doubled variables x, y: u ⊑ v exactly when x^(u+) y^(u-) divides
+x^(v+) y^(v-) (the Lawrence lifting; Sturmfels, "Gröbner Bases and Convex
+Polytopes", 1996, Ch. 7), so each element u becomes the rules
+x^(u+) y^(u-) -> 1 and x^(u-) y^(u+) -> 1.
 
 The paper's route, the toric ideal of the p-Lawrence lifting over the doubled
 x/y space with y set to 1 at the end, is kept as `graver_lawrence`, and an
@@ -134,7 +150,7 @@ from .binomials import (
     substitute_ones,
     word_of_binomial,
 )
-from .codes import LinearCode, _rref
+from .codes import LinearCode, _rref, nullspace
 from .groebner import _Packed, _widening, buchberger
 from .matrices import build_He, build_Hplus_e, expansion, lawrence_lift
 from .orders import MonomialOrder, degrevlex
@@ -252,202 +268,152 @@ def _add_rules(pk: _Packed, u) -> None:
     pk.add(pk.pack(_doubled([-e for e in u])), 0)
 
 
-def _support(w: int) -> list:
-    return [i for i in range(w.bit_length()) if w >> i & 1]
+def _labels(ff) -> list:
+    """label[k]: the element with power index k as a label of (Z/p)^r, its
+    F_p-coordinates read as base-p digits."""
+    powers = [ff.p ** i for i in range(ff.r)]
+    return [sum(c * w for c, w in zip(ff.poly_coords(x), powers)) for x in ff.elements()]
 
 
-def _components(cols: list) -> list:
-    """(columns, fundamental circuits) of each connected component of the
-    binary matroid whose columns are packed as the ints `cols`, coloops left
-    out, both as bitmasks over column indices.
+def _group(p: int, e: int, elements) -> tuple:
+    """(add, neg) on (Z/p)^e, labelled 0..p^e - 1 by base-p digits: neg[x] is
+    -x for every label x, and add[v][x] is x + v for every v among `elements`
+    and their negatives.  Both are built one digit at a time, a digit of
+    x + v being a rotation of 0..p-1."""
+    rotations = [[*range(d, p), *range(d)] for d in range(p)]
+    neg, w = [0], 1
+    for _ in range(e):
+        neg = [w * (-d % p) + x for d in range(p) for x in neg]
+        w *= p
 
-    One elimination gives the fundamental circuit of every column that the
-    earlier ones span.  They form a basis of the code of the matroid, and the
-    elements of a component are linked through them.
+    def row(v: int) -> list:
+        out, w = [0], 1
+        for _ in range(e):
+            v, d = divmod(v, p)
+            out = [w * c + x for c in rotations[d] for x in out]
+            w *= p
+        return out
+
+    return {v: row(v) for v in {*elements, *(neg[v] for v in elements)}}, neg
+
+
+def _bricks(elements: list, add, neg, signs: tuple) -> tuple:
+    """(free, minimal) for a list of group elements g_1..g_s, given by label.
+
+    A vector t in Z^s has the value phi(t) = sum_k t_k g_k and the set
+    Sub(t) = {phi(u) : u ⊑ t}, which holds 0 and phi(t); t is zero-sum-free
+    when phi(u) != 0 for every nonzero u ⊑ t.  free[v] lists (t, Sub(t)) for
+    every zero-sum-free t with phi(t) = v, Sub(t) as a bitmask over labels;
+    minimal lists the minimal zero-sum vectors (phi(t) = 0, every proper
+    nonzero u ⊑ t zero-sum-free), one of each pair +-t.  Entries take the
+    given signs: both, or + alone where -g = g for every g (p = 2); then a
+    sign flip of a (minimal) zero-sum vector is one, and the caller expands.
+
+    A depth-first walk adds signed units in a fixed order, never one element
+    with both signs: t + s is zero-sum-free exactly when t is and -phi(s) is
+    not in Sub(t), and then Sub(t + s) is Sub(t) together with its translate
+    by phi(s).  A zero-sum-free t with phi(t + s) = 0 makes t + s a minimal
+    zero-sum vector, since a u + s ⊑ t + s with u ⊑ t and value 0 has
+    phi(t - u) = 0, so u = t; and every minimal zero-sum vector is so found,
+    once, from the vector it leaves without its last signed unit.  The walk
+    keeps its own stack: it goes as deep as a zero-sum-free vector is long,
+    up to e(p - 1) units on (Z/p)^e, past Python's recursion limit at
+    p > 1000.
     """
-    basis, components = [], []  # basis: (reduced column, the columns it sums)
-    for j, c in enumerate(cols):
-        used = 1 << j
-        for b, bused in basis:  # descending, distinct leading bits
-            if c ^ b < c:
-                c ^= b
-                used ^= bused
-        if c:
-            basis = sorted(basis + [(c, used)], reverse=True)
-            continue
-        mask, inside, rest = used, [used], []
-        for comp in components:
-            if comp[0] & used:
-                mask |= comp[0]
-                inside += comp[1]
-            else:
-                rest.append(comp)
-        components = rest + [(mask, inside)]
-    return components
-
-
-def _independent(cols: list, idx: list) -> bool:
-    span = []  # reduced echelon: descending, distinct leading bits
-    for i in idx:
-        c = cols[i]
-        for b in span:
-            c = min(c, c ^ b)
-        if not c:
-            return False
-        span = sorted(span + [c], reverse=True)
-    return True
-
-
-def _circuits_by_words(cols: list, words: list, r: int) -> list:
-    """The circuits of a component of rank r whose code the `words` span:
-    every word, in Gray-code order, whose support S has at most r + 1
-    elements and whose columns but one are independent (rank |S| - 1)."""
-    out, w = [], 0
-    for g in range(1, 2 ** len(words)):
-        w ^= words[(g & -g).bit_length() - 1]
-        S = _support(w)
-        if len(S) <= r + 1 and _independent(cols, S[:-1]):
-            out.append(S)
-    return out
-
-
-def _circuits_by_walk(cols: list, idx: list) -> list:
-    """The circuits among the columns `idx`, by a depth-first walk over the
-    independent index sets T in increasing order: a later column j equal to
-    the sum of T closes the circuit T + [j], which is so found exactly once,
-    from its largest index."""
-    out = []
-
-    def walk(T: list, xor: int, span: list, start: int) -> None:
-        # `span` is a reduced echelon basis of the span of T, `xor` its sum
-        for pos in range(start, len(idx)):
-            j = idx[pos]
-            c = cols[j]
-            if c == xor:
-                out.append(T + [j])
-                continue
-            for b in span:
-                c = min(c, c ^ b)
-            if c:
-                walk(T + [j], xor ^ cols[j], sorted(span + [c], reverse=True), pos + 1)
-
-    walk([], 0, [], 0)
-    return out
-
-
-def _circuits(cols: list) -> list:
-    """The circuits, as ascending index lists, of the binary matroid whose
-    columns are packed as the ints `cols`.
-
-    Every circuit lies inside a connected component.  A component of n
-    columns and rank r spans a code of dimension k = n - r: its 2^k words, or
-    its independent sets, at most sum_{i <= r} C(n, i) of them, are walked,
-    whichever bound is smaller.
-    """
-    out = []
-    for mask, words in _components(cols):
-        idx = _support(mask)
-        r = len(idx) - len(words)
-        if 2 ** len(words) <= sum(math.comb(len(idx), i) for i in range(r + 1)):
-            out += _circuits_by_words(cols, words, r)
-        else:
-            out += _circuits_by_walk(cols, idx)
-    return out
-
-
-def _circuit_lifts(mat) -> list:
-    """One of each pair +-d of the primitive vectors of L at p = 2: 2e_i for
-    every nonzero column i of M mod 2, and the +-1 lifts of every circuit,
-    with the sign of its smallest index fixed at +1."""
-    N = mat.ncols
-    cols = [sum((row[j] & 1) << i for i, row in enumerate(mat)) for j in range(N)]
-    out = [tuple(2 if k == i else 0 for k in range(N)) for i in range(N) if cols[i]]
-    for S in _circuits(cols):
-        for signs in itertools.product((1, -1), repeat=len(S) - 1):
-            d = [0] * N
-            for i, s in zip(S, (1,) + signs):
-                d[i] = s
-            out.append(tuple(d))
-    return out
-
-
-def _additive(ff) -> tuple:
-    """(label, add, neg): label[k] is the label of the element with power
-    index k, its F_p-coordinates read as base-p digits, so that the labels
-    0..q-1 form the group (Z/p)^r, with its addition table and negation."""
-    p, q = ff.p, ff.q
-    powers = [p ** i for i in range(ff.r)]
-    add = [[sum((x // w + y // w) % p * w for w in powers) for y in range(q)] for x in range(q)]
-    neg = [sum(-(x // w) % p * w for w in powers) for x in range(q)]
-    label = [sum(c * w for c, w in zip(ff.poly_coords(e), powers)) for e in ff.elements()]
-    return label, add, neg
-
-
-def _bricks(slots: list, add: list, neg: list) -> tuple:
-    """(free, minimal) for the slot elements of one position, given by label.
-
-    free[v] lists (t, sub) for every zero-sum-free brick t with phi(t) = v,
-    where sub is Sub(t) as a bitmask over labels; minimal lists the minimal
-    zero-sum bricks, one of each pair +-t.  A depth-first walk adds signed
-    slots in a fixed order, never one slot with both signs: t + s is
-    zero-sum-free exactly when t is and -phi(s) is not in Sub(t), and then
-    Sub(t + s) is Sub(t) together with its translate by phi(s).  A
-    zero-sum-free t with phi(t + s) = 0 makes t + s a minimal zero-sum
-    brick, since a sub-brick u + s with u ⊑ t and value 0 has
-    phi(t - u) = 0, so u = t; and every minimal zero-sum brick is so found,
-    from the brick it leaves without its last signed slot.
-    """
-    q, S = len(add), len(slots)
-    signed = [(k, sign, v if sign > 0 else neg[v]) for k, v in enumerate(slots) for sign in (1, -1)]
-    free = [[] for _ in range(q)]
+    size = len(neg)
+    signed = [(k, sign, v if sign > 0 else neg[v]) for k, v in enumerate(elements) for sign in signs]
+    free = [[] for _ in range(size)]
     minimal = []
-
-    def walk(t: list, value: int, sub: int, start: int) -> None:
+    stack = [((0,) * len(elements), 0, 1, 0)]  # (t, phi(t), Sub(t), first signed unit to add)
+    while stack:
+        t, value, sub, start = stack.pop()
         for i in range(start, len(signed)):
             k, sign, v = signed[i]
             if t[k] * sign < 0:
                 continue
-            t[k] += sign
+            u = t[:k] + (t[k] + sign,) + t[k + 1:]
             row = add[v]
             if sub >> neg[v] & 1:
-                if row[value] == 0 and next(e for e in t if e) > 0:
-                    minimal.append(tuple(t))
-            else:
-                grown = sub
-                for x in range(q):
-                    if sub >> x & 1:
-                        grown |= 1 << row[x]
-                free[row[value]].append((tuple(t), grown))
-                walk(t, row[value], grown, i)
-            t[k] -= sign
-
-    walk([0] * S, 0, 1, 0)
+                if row[value] == 0 and next(e for e in u if e) > 0:
+                    minimal.append(u)
+                continue
+            grown = sub
+            for x in range(size):
+                if sub >> x & 1:
+                    grown |= 1 << row[x]
+            free[row[value]].append((u, grown))
+            stack.append((u, row[value], grown, i))
     return free, minimal
 
 
+def _signs(p: int) -> tuple:
+    """The signs that `_bricks` gives entries: + alone at p = 2, where -g = g."""
+    return (1,) if p == 2 else (1, -1)
+
+
 def _code_components(code: LinearCode) -> list:
-    """(positions, generator rows on them) of each connected component of the
-    column matroid of a generator matrix of the code, a zero column being a
-    component with no rows.  Rows of the reduced row echelon form whose
-    supports meet are merged: the code is the direct sum of the codes that
-    the merged rows span, and the supports are the fundamental circuits of
-    the pivot basis, which link exactly the elements of a component."""
+    """(positions, parity rows, generator rows) of each connected component
+    of the code, the rows restricted to its positions.
+
+    One elimination, of H or of G, whichever has fewer rows.  Its reduced
+    rows are the fundamental circuits of one basis of the matroid of the
+    other matrix, and these link exactly the positions of each component.
+    `nullspace` of the reduced form gives the other matrix, and each of its
+    rows lies in one component: the row of free column f lives on f and on
+    the pivots of the reduced rows through f.
+    """
     ff = code.ff
-    rows, _ = _rref(ff, code.G)
+    by_parity = code.m <= code.k
+    red, pivots = _rref(ff, code.H if by_parity else code.G)
+    other = nullspace(ff, red, pivots, code.n)
     comp = {j: {j} for j in range(code.n)}
-    for row in rows:
+    for row in red:
         merged = set().union(*(comp[j] for j, e in enumerate(row) if e))
         for j in merged:
             comp[j] = merged
-    out = []
+    first = [min(comp[j]) for j in range(code.n)]
+    parts = {}  # first position -> [positions, parity rows, generator rows]
     for j in range(code.n):
-        if min(comp[j]) == j:
-            P = sorted(comp[j])
-            out.append((P, [[row[i] for i in P] for row in rows if any(row[i] for i in P)]))
-    return out
+        parts.setdefault(first[j], [[], [], []])[0].append(j)
+    H, G = (red, other) if by_parity else (other, red)
+    for which, rows in ((1, H), (2, G)):
+        for row in rows:
+            parts[first[next(j for j, e in enumerate(row) if e)]][which].append(row)
+    return [(P, [[row[j] for j in P] for row in h], [[row[j] for j in P] for row in g])
+            for P, h, g in parts.values()]
 
 
-def _codewords(rows: list, n: int, elements: list, label: list, add: list) -> tuple:
+def _walk_bound(N: int, e: int, p: int) -> int:
+    """A bound on the zero-sum-free vectors over N elements of (Z/p)^e: at
+    most L = e(p - 1) units (Olson), each entry at most p - 1 in absolute
+    value, so j nonzero entries take at most min(C(L, j), (p - 1)^j) values
+    and a sign each."""
+    L = e * (p - 1)
+    s = len(_signs(p))
+    return sum(math.comb(N, j) * s ** j * min(math.comb(L, j), (p - 1) ** j) for j in range(min(N, L) + 1))
+
+
+def _walk_vectors(ff, slots, parity: list, n: int) -> list:
+    """One of each pair +-d of the primitive vectors of a component of n
+    positions with the parity rows `parity`: the minimal zero-sum vectors
+    over its unit syndromes, slot element t times column j of the rows, each
+    a label of (Z/p)^e with e = r * len(parity)."""
+    label, q = _labels(ff), ff.q
+    units = [sum(label[(b * row[j]).k] * q ** i for i, row in enumerate(parity))
+             for j in range(n) for b in slots]
+    add, neg = _group(ff.p, ff.r * len(parity), units)
+    return _bricks(units, add, neg, _signs(ff.p))[1]
+
+
+def _position_bricks(ff, slots) -> tuple:
+    """(label, add, neg, free, minimal): the labels and the group (Z/p)^r of
+    GF(q), and the bricks of one position (`_bricks` on the slot elements)."""
+    label = _labels(ff)
+    add, neg = _group(ff.p, ff.r, range(ff.q))
+    return (label, add, neg) + _bricks([label[s.k] for s in slots], add, neg, _signs(ff.p))
+
+
+def _codewords(rows: list, n: int, elements: list, label: list, add) -> tuple:
     """(cols, B) for the code of length n that `rows` span: codeword i has
     the base-q digits of i, read as `elements`, as its coefficients on the
     rows; cols[j][i] is its entry j, and B[j][v] the bitmask of the codewords
@@ -470,59 +436,95 @@ def _codewords(rows: list, n: int, elements: list, label: list, add: list) -> tu
     return cols, B
 
 
-def _brick_vectors(code: LinearCode, kind: str) -> list:
-    """One of each pair +-d of the primitive vectors of L at odd p: the
-    minimal zero-sum bricks at every position with a nonzero column of H
-    (Claim A), and per component of the code, for each codeword c, one of
-    each pair +-c, the choices of one zero-sum-free brick of value c_j per
-    position j of supp(c) that pass the test of Claim C."""
-    ff = code.ff
-    label, add, neg = _additive(ff)
-    slots = [label[s.k] for s in slot_elements(ff, kind)]
-    free, minimal = _bricks(slots, add, neg)
+def _codeword_vectors(ff, slots, generator: list, n: int, bricks: tuple) -> list:
+    """One of each pair +-d of the primitive vectors of a component of n
+    positions whose code the rows `generator` span, given the bricks of a
+    position (`_position_bricks`): the minimal zero-sum bricks at every
+    position, unless the code is all of GF(q) and so the one column of H is
+    zero (Claim A), and for each codeword c, one of each pair +-c, the
+    choices of one zero-sum-free brick of value c_j per position j of
+    supp(c) that pass the test of Claim C."""
+    label, add, neg, free, minimal = bricks
     S = len(slots)
-    N = code.n * S
+    N = n * S
     out = [(0,) * (j * S) + z + (0,) * (N - (j + 1) * S)
-           for j in range(code.n) if any(row[j] for row in code.H) for z in minimal]
-    for P, rows in _code_components(code):
-        cols, B = _codewords(rows, len(P), ff.elements(), label, add)
-        F = {}  # (j, Sub(t)) -> F(j, t)
+           for j in range(n) if len(generator) < n for z in minimal]
+    cols, B = _codewords(generator, n, ff.elements(), label, add)
+    F = {}  # (j, Sub(t)) -> F(j, t)
 
-        def extend(l: int, mask: int, chosen: list) -> None:
-            # mask: the codewords other than 0 and c that fit the bricks
-            # chosen so far, at their positions
-            j = supp[l]
-            for t, sub in free[c[j]]:
-                f = F.get((j, sub))
-                if f is None:
-                    f = F[j, sub] = sum(bits for v, bits in B[j].items() if sub >> v & 1)
-                if mask & f & suffix[l + 1]:
-                    continue
-                if l + 1 < len(supp):
-                    extend(l + 1, mask & f, chosen + [t])
-                    continue
-                d = [0] * N
-                for i, brick in zip(supp, chosen + [t]):
-                    d[P[i] * S:P[i] * S + S] = brick
-                out.append(tuple(d))
+    def extend(l: int, mask: int, chosen: list) -> None:
+        # mask: the codewords other than 0 and c that fit the bricks chosen
+        # so far, at their positions
+        j = supp[l]
+        for t, sub in free[c[j]]:
+            f = F.get((j, sub))
+            if f is None:
+                f = F[j, sub] = sum(bits for v, bits in B[j].items() if sub >> v & 1)
+            if mask & f & suffix[l + 1]:
+                continue
+            if l + 1 < len(supp):
+                extend(l + 1, mask & f, chosen + [t])
+                continue
+            d = [0] * N
+            for i, brick in zip(supp, chosen + [t]):
+                d[i * S:i * S + S] = brick
+            out.append(tuple(d))
 
-        for i in range(1, len(cols[0])):
-            c = [col[i] for col in cols]
-            supp = [j for j, v in enumerate(c) if v]
-            if neg[c[supp[0]]] < c[supp[0]]:
-                continue  # -c is taken instead
-            # suffix[l]: the codewords other than 0 and c with entry 0 or c_j
-            # at the positions supp[l:], and 0 off the support
-            others = (1 << len(cols[0])) - 1 ^ (1 | 1 << i)
-            suffix = [others]
-            for j, v in enumerate(c):
-                if not v:
-                    suffix[0] &= B[j][0]
-            for j in reversed(supp):
-                suffix.append(suffix[-1] & (B[j][0] | B[j][c[j]]))
-            suffix.reverse()
-            if not suffix[0]:
-                extend(0, others, [])
+    for i in range(1, len(cols[0])):
+        c = [col[i] for col in cols]
+        supp = [j for j, v in enumerate(c) if v]
+        if neg[c[supp[0]]] < c[supp[0]]:
+            continue  # -c is taken instead
+        # suffix[l]: the codewords other than 0 and c with entry 0 or c_j at
+        # the positions supp[l:], and 0 off the support
+        others = (1 << len(cols[0])) - 1 ^ (1 | 1 << i)
+        suffix = [others]
+        for j, v in enumerate(c):
+            if not v:
+                suffix[0] &= B[j][0]
+        for j in reversed(supp):
+            suffix.append(suffix[-1] & (B[j][0] | B[j][c[j]]))
+        suffix.reverse()
+        if not suffix[0]:
+            extend(0, others, [])
+    return out
+
+
+def _sign_patterns(d: tuple):
+    """The vectors with the absolute values of d and the sign of its first
+    nonzero entry, 2^(s-1) of them for s nonzero entries."""
+    first = next(i for i, e in enumerate(d) if e)
+    return itertools.product(*[(e, -e) if e and i > first else (e,) for i, e in enumerate(d)])
+
+
+def _brick_vectors(code: LinearCode, kind: str) -> list:
+    """One of each pair +-d of the primitive vectors of L, component by
+    component (`_code_components`): by the zero-sum walk when its bound W
+    is below q^k n, the codewords times the positions that the codeword
+    enumeration goes through, else by that enumeration.  At p = 2 both list
+    nonnegative vectors, which stand for their sign patterns."""
+    ff = code.ff
+    slots = slot_elements(ff, kind)
+    S = len(slots)
+    bricks = None  # of one position, on the first component that needs them
+    out = []
+    for P, parity, generator in _code_components(code):
+        n = len(P)
+        if _walk_bound(n * S, ff.r * len(parity), ff.p) < ff.q ** len(generator) * n:
+            found = _walk_vectors(ff, slots, parity, n)
+        else:
+            bricks = bricks or _position_bricks(ff, slots)
+            found = _codeword_vectors(ff, slots, generator, n, bricks)
+        if n == code.n:  # P is every position, in order
+            out += found
+            continue
+        for d in found:
+            v = [0] * (code.n * S)
+            for j, i in enumerate(P):
+                v[i * S:i * S + S] = d[j * S:j * S + S]
+            out.append(tuple(v))
+    if ff.p == 2:
+        out = [v for d in out for v in _sign_patterns(d)]
     return out
 
 
@@ -532,19 +534,16 @@ def _unit_syndromes(code: LinearCode, slots) -> list:
     return [tuple(row[j] * b for row in code.H) for j in range(code.n) for b in slots]
 
 
-def _codeword_test(code: LinearCode, kind: str, degree: int):
+def _codeword_test(mat, p: int, degree: int):
     """A test of whether x^u - x^v, both sides of degree at most `degree`,
-    encodes a codeword.  The syndrome of a side is packed into one integer,
-    a bit field per F_p-coordinate of its entries, as the sum of the packed
-    unit syndromes times the exponents; the word is a codeword when the
-    fields of the two sides agree mod p."""
-    ff = code.ff
-    p = ff.p
-    units = [[c for e in s for c in ff.poly_coords(e)] for s in _unit_syndromes(code, slot_elements(ff, kind))]
-    nfields = code.m * ff.r
+    lies in the lattice ideal of the integer matrix `mat` mod p: whether
+    mat (u - v) = 0 mod p.  Each column, the unit syndrome of one variable
+    in F_p-coordinates, is packed into one integer, a bit field per row; a
+    side's syndrome is the sum of the packed columns times its exponents,
+    and the fields of the two sides must agree mod p."""
     width = ((p - 1) * degree).bit_length() + 1
     mask = (1 << width) - 1
-    packed = [sum(c << (width * k) for k, c in enumerate(u)) for u in units]
+    packed = [sum(c << (width * i) for i, c in enumerate(mat.column(j))) for j in range(mat.ncols)]
 
     def syndrome(side):
         acc = 0
@@ -555,7 +554,7 @@ def _codeword_test(code: LinearCode, kind: str, degree: int):
 
     def encodes(b) -> bool:
         a, c = syndrome(b.lhs), syndrome(b.rhs)
-        for _ in range(nfields):
+        for _ in range(mat.nrows):
             if ((a & mask) - (c & mask)) % p:
                 return False
             a >>= width
@@ -566,19 +565,13 @@ def _codeword_test(code: LinearCode, kind: str, degree: int):
 
 
 def _graver(code: LinearCode, kind: str, build) -> GraverBasis:
-    """The Graver basis of L for `kind`: by circuit lifts of the matrix that
-    `build` makes from the code at p = 2, by codewords and bricks otherwise;
-    every element is checked either way."""
+    """The Graver basis of L for `kind` (`_brick_vectors`), every element
+    checked against the matrix that `build` makes from the code."""
     p = code.ff.p
+    stage = f"graver bricks ({kind})"
     space = VariableSpace(Block("x", (code.n, len(slot_elements(code.ff, kind)))))
-    if p == 2:
-        stage = f"graver circuit lifts ({kind})"
-        vectors = _circuit_lifts(build(code))
-    else:
-        stage = f"graver bricks ({kind})"
-        vectors = _brick_vectors(code, kind)
-    out = BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in vectors])
-    encodes = _codeword_test(code, kind, max((max(sum(b.lhs), sum(b.rhs)) for b in out), default=0))
+    out = BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in _brick_vectors(code, kind)])
+    encodes = _codeword_test(build(code), p, max((max(sum(b.lhs), sum(b.rhs)) for b in out), default=0))
     for b in out:
         if not encodes(b):
             raise InvariantError(stage, "element encodes no codeword", b)

@@ -27,8 +27,8 @@ a cone sooner: `cone_rows` proves that no row <= 0 and no pair of rows
 r, -r reaches a cone of the sieve.
 
 Closed form at p = 2.  Both code ideals are lattice ideals of
-L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}, and by the closed
-form of their Graver basis (the `graver` module docstring, Claims 1-3) every
+L = {d in Z^N : M d = 0 mod 2}, with M = H_e or H_{+,e}, and by the p = 2
+corollary of the `graver` module docstring (Claims 1-3) every
 Graver element is x_i^2 - 1 for a nonzero column i of M mod 2, or x^S - 1 or
 x^u - x^v with u + v = 1_S for a circuit S of the column matroid of M mod 2
 (a zero column is a circuit of size one).  The universal basis keeps exactly:

@@ -1,5 +1,6 @@
-"""Graver bases by circuit lifts at p = 2 and by codewords and bricks at odd
-p, cross-checked by the completion, by the Lawrence route and by brute force."""
+"""Graver bases by the zero-sum walk or the codewords, per component of the
+code, cross-checked by the completion, by the Lawrence route and by brute
+force."""
 
 import itertools
 import os
@@ -32,14 +33,14 @@ from codegb.graver import (
     GraverBasis,
     SearchSpaceTooLargeError,
     _add_rules,
-    _circuits,
-    _circuits_by_walk,
-    _circuits_by_words,
+    _code_components,
     _codeword_test,
-    _components,
+    _codeword_vectors,
     _doubled,
+    _position_bricks,
     _primitive_vectors,
-    _support,
+    _walk_bound,
+    _walk_vectors,
     graver_bruteforce,
     graver_generalized,
     graver_lawrence,
@@ -170,6 +171,17 @@ def run(code, kind):
     return graver_ordinary(code) if kind == ORDINARY else graver_generalized(code)
 
 
+@pytest.fixture
+def routes(monkeypatch):
+    """The enumeration that each component of a Graver run takes, in order:
+    "walk" or "codewords"."""
+    taken = []
+    for name, attr in (("walk", "_walk_vectors"), ("codewords", "_codeword_vectors")):
+        f = getattr(codegb.graver, attr)
+        monkeypatch.setattr(codegb.graver, attr, lambda *a, f=f, name=name: taken.append(name) or f(*a))
+    return taken
+
+
 # graver-ladder documents of the benchmark, as written there; the third,
 # f4-gen, is code_f4 of the generalized kind
 LADDER = {
@@ -257,8 +269,8 @@ def random_code(rng, moduli, most_positions):
 
 
 def test_completion_equals_bruteforce_on_random_codes():
-    # 200 seeded codes: the Graver route (circuit lifts at p = 2, completion at
-    # odd p) against the exhaustive oracle; about 4 s on a 2-core x86 VM
+    # 200 seeded codes: the Graver route (the walk or the codewords, per
+    # component) against the exhaustive oracle; about 2 s on a 2-core x86 VM
     # (budget: 15 s)
     moduli = {f: primitive_moduli(*f) for f in CROSS_CHECK_FIELDS}
     rng = random.Random(7)
@@ -389,15 +401,18 @@ def ternary_golay_code():
         ("f9gen2", 7080, 3.0),
         ("f7gen3", 16623, 6.0),
         ("tgolay", 15675, 6.0),
+        # 3.6 s by the codewords, 3^11 of them; 7 ms by the walk
+        ("t1-12", 430, 1.0),
     ],
 )
 def test_odd_codes_past_the_completion(name, count, budget):
-    # about 0.05, 0.1, 0.3, 0.7 and 0.6 s on a 2-core x86 VM
+    # about 0.05, 0.1, 0.3, 0.7, 0.6 and 0.01 s on a 2-core x86 VM
     documents = {
         "f5gen3": ("field p=5 r=1 modulus=0,1\nparity 1 2 3\n", GENERALIZED),
         "f7gen2": ("field p=7 r=1 modulus=0,1\nparity 1 3\n", GENERALIZED),
         "f9gen2": ("field p=3 r=2 modulus=2,1,1\nparity a 1\n", GENERALIZED),
         "f7gen3": ("field p=7 r=1 modulus=0,1\nparity 1 2 3\n", GENERALIZED),
+        "t1-12": ("field p=3 r=1 modulus=0,1\nparity" + " 1" * 12 + "\n", ORDINARY),
     }
     if name == "tgolay":
         code, kind = ternary_golay_code(), ORDINARY
@@ -420,7 +435,7 @@ def test_code_f9_generalized_basis_is_primitive(code_f9):
     elapsed = time.monotonic() - t0
     assert len(g) == 7492 and elapsed < 3.0
     vectors = [tuple(a - b for a, b in zip(e.lhs, e.rhs)) for e in g]
-    encodes = _codeword_test(code_f9, GENERALIZED, max(max(sum(e.lhs), sum(e.rhs)) for e in g))
+    encodes = _codeword_test(build_Hplus_e(code_f9), 3, max(max(sum(e.lhs), sum(e.rhs)) for e in g))
     assert all(encodes(e) for e in g)
     # both signs of every element; within[i][a] holds the elements u with
     # u_i between 0 and a, so the elements conformal to v are the AND of
@@ -470,8 +485,9 @@ COMPLETION_VARIABLES = 9
 
 def test_circuit_lifts_equal_the_completion_on_random_codes():
     # 150 seeded binary codes, reaching the generalized GF(8) ideals that the
-    # exhaustive sweep cannot: the circuit route against the completion run on
-    # generators of the lattice; about 5 s on a 2-core x86 VM (budget: 20 s)
+    # exhaustive sweep cannot: the Graver route, whose elements are the sign
+    # lifts of circuits (the p = 2 corollary), against the completion run on
+    # generators of the lattice; about 3 s on a 2-core x86 VM (budget: 20 s)
     moduli = {f: primitive_moduli(*f) for f in BINARY_FIELDS}
     rng = random.Random(8)
     seen, rebased = set(), set()
@@ -540,50 +556,23 @@ def test_f8_n3_graver_and_universal_bases():
     assert sum(1 for b in g.elements if max(b.lhs + b.rhs) == 2) == 21
 
 
-def minimal_dependent_sets(cols):
-    """The circuits of the columns by definition: among all index sets whose
-    columns sum to zero, those with no smaller such set inside."""
-    zero = [m for m in range(1, 1 << len(cols)) if not _xor(cols[i] for i in _support(m))]
-    return sorted(_support(m) for m in zero if not any(z != m and z & m == z for z in zero))
-
-
-def _xor(cs):
-    out = 0
-    for c in cs:
-        out ^= c
-    return out
-
-
-def test_both_circuit_routes_list_the_minimal_dependent_sets():
-    # 400 seeded column sets of up to 11 columns and 6 rows, with zero and
-    # repeated columns; every component is listed both ways
-    rng = random.Random(11)
-    for _ in range(400):
-        n, rows = rng.randint(1, 11), rng.randint(1, 6)
-        cols = [rng.getrandbits(rows) if rng.random() > 0.1 else 0 for _ in range(n)]
-        if n > 1 and rng.random() < 0.3:
-            cols[rng.randrange(n)] = cols[rng.randrange(n)]
-        assert sorted(_circuits(cols)) == minimal_dependent_sets(cols), cols
-        for mask, words in _components(cols):
-            idx = _support(mask)
-            walked = _circuits_by_walk(cols, idx)
-            assert sorted(walked) == sorted(_circuits_by_words(cols, words, len(idx) - len(words)))
-
-
-def test_circuits_of_a_connected_matroid_of_high_rank_and_small_dimension():
-    # the graphic matroid of a theta graph, paths of 13, 13 and 14 edges
-    # between two vertices: rank 38, a code of dimension 2, three circuits;
-    # the walk alone would visit more than 2^38 independent sets
-    cols, vertex = [], 2
-    for length in (13, 13, 14):
+def test_circuits_of_a_connected_matroid_of_high_rank_and_small_dimension(routes):
+    # the graphic matroid of a theta graph, paths of 6, 6 and 7 edges between
+    # two vertices, one vertex row dropped for full rank: 19 positions, rank
+    # 17, dimension 2 and three circuits, of 12, 13 and 13 edges.  The
+    # codewords are 4 against more than 2^18 zero-sum-free vectors
+    rows, vertex = [], 2
+    for length in (6, 6, 7):
         path = [0] + list(range(vertex, vertex + length - 1)) + [1]
         vertex += length - 1
-        cols += [1 << a | 1 << b for a, b in zip(path, path[1:])]
-    t0 = time.monotonic()
-    circuits = _circuits(cols)
-    assert time.monotonic() - t0 < 1.0
-    assert sorted(map(len, circuits)) == [26, 27, 27]
-    assert [(len(_support(m)), len(w)) for m, w in _components(cols)] == [(40, 2)]
+        rows += [(a, b) for a, b in zip(path, path[1:])]
+    incidence = [[int(v in edge) for edge in rows] for v in range(1, vertex)]
+    code = code_of(parity_document(incidence))
+    assert (code.n, code.m, code.k) == (19, 17, 2)
+    g, elapsed = timed(code, ORDINARY)
+    assert routes == ["codewords"]
+    assert elapsed < 2.0
+    assert len(g) == 10259 and circuit_sizes(g) == {12: 1, 13: 2}
 
 
 def parity_document(rows):
@@ -605,16 +594,98 @@ def parity_document(rows):
         # 20 copies of the [2,1] repetition code: rank 20, dimension 20, 20
         # components
         ([[int(j // 2 == i) for j in range(40)] for i in range(20)], 80),
+        # parity 1...1 of length 17: one component of rank 1 and dimension
+        # 16; 17 squares and two lifts of each of the 136 pairs
+        ([[1] * 17], 289),
     ],
-    ids=["rank28-dim2", "20-repetition-codes"],
+    ids=["rank28-dim2", "20-repetition-codes", "parity-17"],
 )
 def test_binary_codes_of_high_rank_or_many_components(rows, count):
     # about 5 ms each (0.11 s and 0.27 s while the codeword check ran on
-    # field elements); without the split into components, 2^20 words or
-    # 3^20 independent sets would be walked on the second code, and a walk
-    # over independent sets alone takes hours on the first
+    # field elements); without the split into components, 2^20 codewords
+    # would be enumerated on the second code, and 2^16 on the third
     g, elapsed = timed(code_of(parity_document(rows)), ORDINARY)
     assert len(g) == count and elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "name,kind,route",
+    [
+        ("ham7", ORDINARY, "walk"),
+        ("f4-gen", GENERALIZED, "walk"),  # W = 46 against 4^2 * 3 = 48
+        ("t1-12", ORDINARY, "walk"),
+        ("f3-n6", ORDINARY, "codewords"),
+        ("p19n3", ORDINARY, "codewords"),
+        ("p29n3", ORDINARY, "codewords"),
+        ("tgolay", ORDINARY, "codewords"),
+    ],
+)
+def test_each_code_takes_its_route(routes, code_f4, name, kind, route):
+    # every one of these codes is one component
+    documents = {
+        "p19n3": "field p=19 r=1 modulus=0,1\nparity 1 7 3\n",
+        "p29n3": "field p=29 r=1 modulus=0,1\nparity 1 7 12\n",
+        "t1-12": "field p=3 r=1 modulus=0,1\nparity" + " 1" * 12 + "\n",
+    }
+    if name == "tgolay":
+        code = ternary_golay_code()
+    elif name == "f4-gen":
+        code = code_f4
+    else:
+        code = code_of(documents[name] if name in documents else LADDER[name][0])
+    run(code, kind)
+    assert routes == [route]
+
+
+# GF(2), GF(3), GF(4), GF(5), GF(8) and GF(9) as (p, r)
+CROSS_ROUTE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+CROSS_ROUTE_CAP = 4000  # on both the walk's bound W and the q^k n codewords
+
+
+def up_to_sign(vectors):
+    return sorted(max(d, tuple(-e for e in d)) for d in vectors)
+
+
+def test_the_walk_and_the_codewords_agree_on_every_component():
+    # seeded random codes, both kinds, until 150 components of two or more
+    # positions are checked; on every component whose two sizes are under
+    # the cap, the walk and the codeword enumeration list the same vectors,
+    # up to sign (nonnegative ones at p = 2, on both sides); about 1 s on a
+    # 2-core x86 VM (budget: 20 s)
+    moduli = {f: primitive_moduli(*f) for f in CROSS_ROUTE_FIELDS}
+    rng = random.Random(29)
+    seen, cheaper = set(), set()
+    t0 = time.monotonic()
+    linked = 0
+    while linked < 150:
+        drawn = random_code(rng, moduli, lambda p, width: max(1, 8 // width))
+        if drawn is None:
+            continue
+        kind, code = drawn
+        ff = code.ff
+        slots = slot_elements(ff, kind)
+        for P, parity, generator in _code_components(code):
+            n = len(P)
+            walk, words = _walk_bound(n * len(slots), ff.r * len(parity), ff.p), ff.q ** len(generator) * n
+            if max(walk, words) > CROSS_ROUTE_CAP:
+                continue
+            by_walk = up_to_sign(_walk_vectors(ff, slots, parity, n))
+            by_words = up_to_sign(_codeword_vectors(ff, slots, generator, n, _position_bricks(ff, slots)))
+            assert by_walk == by_words, (kind, ff.modulus, ff.basis, code.H, P)
+            linked += n > 1
+            seen.add((ff.q, kind))
+            cheaper.add(walk < words)
+    assert time.monotonic() - t0 < 20.0
+    assert seen == {(p ** r, kind) for p, r in CROSS_ROUTE_FIELDS for kind in (ORDINARY, GENERALIZED)}
+    assert cheaper == {True, False}
+
+
+def test_a_prime_field_past_the_recursion_limit():
+    # a zero-sum-free brick over GF(1009) holds up to 1008 units, and the
+    # walk that lists them once recursed once per unit
+    code = code_of("field p=1009 r=1 modulus=0,1\nparity 1 1\n")
+    g = graver_ordinary(code)
+    assert len(g) == 1011 and len(universal_basis(g)) == 3
 
 
 def timed(code, kind):
@@ -678,7 +749,7 @@ def invariant_failure_under_python_O(p, row):
         "import codegb.graver as graver",
         "from codegb import FiniteField, InvariantError, LinearCode",
         "assert False, 'python -O strips this'",
-        "graver._codeword_test = lambda code, kind, degree: lambda b: False  # no element is a codeword",
+        "graver._codeword_test = lambda mat, p, degree: lambda b: False  # no element is a codeword",
         f"ff = FiniteField({p}, 1, (0, 1))",
         f"code = LinearCode.from_parity(ff, [[ff.from_int(e) for e in {row!r}]])",
         "try:",
@@ -697,15 +768,10 @@ def invariant_failure_under_python_O(p, row):
 
 
 def test_invariant_checks_still_fire_under_python_O():
-    stage, message = invariant_failure_under_python_O(3, [1, 2, 1])
-    assert stage == "graver bricks (ordinary)"
-    assert message.startswith(stage + ": element encodes no codeword: Binomial(")
-
-
-def test_invariant_checks_still_fire_under_python_O_on_the_circuit_route():
-    stage, message = invariant_failure_under_python_O(2, [1, 1, 0])
-    assert stage == "graver circuit lifts (ordinary)"
-    assert message.startswith(stage + ": element encodes no codeword: Binomial(")
+    for p, row in [(3, [1, 2, 1]), (2, [1, 1, 0])]:
+        stage, message = invariant_failure_under_python_O(p, row)
+        assert stage == "graver bricks (ordinary)"
+        assert message.startswith(stage + ": element encodes no codeword: Binomial(")
 
 
 def test_packed_codeword_test_agrees_with_word_of_binomial():
@@ -731,7 +797,7 @@ def test_packed_codeword_test_agrees_with_word_of_binomial():
             vectors.append([a - b + c - d + p * rng.randint(-2, 2)
                             for a, b, c, d in zip(g.lhs, g.rhs, h.lhs, h.rhs)])
         binomials = [Binomial(*split_pos_neg(v)) for v in vectors if any(v)]
-        encodes = _codeword_test(code, kind, max(max(sum(b.lhs), sum(b.rhs)) for b in binomials))
+        encodes = _codeword_test(lattice_matrix(code, kind), p, max(max(sum(b.lhs), sum(b.rhs)) for b in binomials))
         for b in binomials:
             want = word_of_binomial(code, b, kind) is not None
             assert encodes(b) == want, (kind, code.ff.modulus, code.ff.basis, code.H, b)
@@ -740,26 +806,18 @@ def test_packed_codeword_test_agrees_with_word_of_binomial():
     assert outcomes == {True, False}
 
 
-def test_circuit_route_checks_minimality(monkeypatch):
-    # 2e_1 + 2e_2 lies in L and encodes the zero word, but 2e_1 is conformal to it
-    lifts = codegb.graver._circuit_lifts
-    monkeypatch.setattr(codegb.graver, "_circuit_lifts", lambda mat: lifts(mat) + [(2, 2, 0)])
-    ff = FiniteField(2, 1, (0, 1))
-    code = LinearCode.from_parity(ff, [[ff.one(), ff.one(), ff.zero()]])
-    with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
-        graver_ordinary(code)
-    assert e.value.stage == "graver circuit lifts (ordinary)"
-
-
 def test_brick_route_checks_minimality(monkeypatch):
-    # 3e_1 + 3e_2 lies in L and encodes the zero word, but 3e_1 is conformal to it
+    # p e_1 + p e_2 lies in L and encodes the zero word, but p e_1 is conformal
+    # to it; at p = 2 too, where the walk's vectors are sign-expanded first
     bricks = codegb.graver._brick_vectors
-    monkeypatch.setattr(codegb.graver, "_brick_vectors", lambda code, kind: bricks(code, kind) + [(3, 3, 0)])
-    ff = FiniteField(3, 1, (0, 1))
-    code = LinearCode.from_parity(ff, [[ff.one(), ff.one(), ff.zero()]])
-    with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
-        graver_ordinary(code)
-    assert e.value.stage == "graver bricks (ordinary)"
+    for p in (3, 2):
+        extra = (p, p, 0)
+        monkeypatch.setattr(codegb.graver, "_brick_vectors", lambda code, kind: bricks(code, kind) + [extra])
+        ff = FiniteField(p, 1, (0, 1))
+        code = LinearCode.from_parity(ff, [[ff.one(), ff.one(), ff.zero()]])
+        with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
+            graver_ordinary(code)
+        assert e.value.stage == "graver bricks (ordinary)"
 
 
 def test_completion_widens_its_fields_past_the_generators_entries():
