@@ -768,10 +768,18 @@ def invariant_failure_under_python_O(p, row):
 
 
 def test_invariant_checks_still_fire_under_python_O():
-    for p, row in [(3, [1, 2, 1]), (2, [1, 1, 0])]:
-        stage, message = invariant_failure_under_python_O(p, row)
-        assert stage == "graver bricks (ordinary)"
-        assert message.startswith(stage + ": element encodes no codeword: Binomial(")
+    stage, message = invariant_failure_under_python_O(3, [1, 2, 1])
+    assert stage == "graver bricks (ordinary)"
+    assert message.startswith(stage + ": element encodes no codeword: Binomial(")
+
+
+def test_invariant_checks_still_fire_under_python_O_on_the_circuit_route():
+    # p = 2, where the walk's nonnegative vectors are sign-expanded: the
+    # binary codes once took a route of their own through the circuits, and
+    # now take the same stage as every other p
+    stage, message = invariant_failure_under_python_O(2, [1, 1, 0])
+    assert stage == "graver bricks (ordinary)"
+    assert message.startswith(stage + ": element encodes no codeword: Binomial(")
 
 
 def test_packed_codeword_test_agrees_with_word_of_binomial():
@@ -806,18 +814,28 @@ def test_packed_codeword_test_agrees_with_word_of_binomial():
     assert outcomes == {True, False}
 
 
-def test_brick_route_checks_minimality(monkeypatch):
+def check_brick_route_minimality(monkeypatch, p):
     # p e_1 + p e_2 lies in L and encodes the zero word, but p e_1 is conformal
-    # to it; at p = 2 too, where the walk's vectors are sign-expanded first
+    # to it
     bricks = codegb.graver._brick_vectors
-    for p in (3, 2):
-        extra = (p, p, 0)
-        monkeypatch.setattr(codegb.graver, "_brick_vectors", lambda code, kind: bricks(code, kind) + [extra])
-        ff = FiniteField(p, 1, (0, 1))
-        code = LinearCode.from_parity(ff, [[ff.one(), ff.one(), ff.zero()]])
-        with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
-            graver_ordinary(code)
-        assert e.value.stage == "graver bricks (ordinary)"
+    extra = (p, p, 0)
+    monkeypatch.setattr(codegb.graver, "_brick_vectors", lambda code, kind: bricks(code, kind) + [extra])
+    ff = FiniteField(p, 1, (0, 1))
+    code = LinearCode.from_parity(ff, [[ff.one(), ff.one(), ff.zero()]])
+    with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
+        graver_ordinary(code)
+    assert e.value.stage == "graver bricks (ordinary)"
+
+
+def test_brick_route_checks_minimality(monkeypatch):
+    check_brick_route_minimality(monkeypatch, 3)
+
+
+def test_circuit_route_checks_minimality(monkeypatch):
+    # p = 2, where the walk's vectors are sign-expanded before the check: the
+    # binary codes once took a route of their own through the circuits, and
+    # the check must hold for them on the shared route
+    check_brick_route_minimality(monkeypatch, 2)
 
 
 def test_completion_widens_its_fields_past_the_generators_entries():
