@@ -316,10 +316,29 @@ def _render_text(result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PLAIN_INT = {int}
+
+
+def _json(x, pad: str) -> str:
+    """x as json.dumps(x, sort_keys=True, indent=2) writes it at depth `pad`,
+    dict keys being strings as in every payload.  json runs its pure-Python
+    encoder whenever it indents, one step per integer; here each list of
+    plain ints (a bool is none) is one join of their reprs."""
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items = [json.dumps(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if x else "{}"
+    if isinstance(x, (list, tuple)):
+        items = map(repr, x) if {*map(type, x)} == _PLAIN_INT else [_json(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if x else "[]"
+    return json.dumps(x)
+
+
 def render(fmt: str, result: dict) -> str:
-    """A result payload as `fmt` ("text" or "json") output."""
+    """A result payload as `fmt` ("text" or "json") output; json is
+    json.dumps(result, sort_keys=True, indent=2) and a newline."""
     if fmt == "json":
-        return json.dumps(result, sort_keys=True, indent=2) + "\n"
+        return _json(result, "") + "\n"
     return _render_text(result)
 
 
@@ -338,8 +357,8 @@ def _cache_path(cache_dir: str, key_fields: dict) -> str:
 
 
 def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
-    if not os.path.exists(path):
-        return None
+    """The cached result at `path`, or None: silently when there is no file,
+    with a report when the entry is corrupt."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -354,6 +373,8 @@ def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
             raise ValueError("result does not carry the header of its key")
         _check_shape(result)
         return result
+    except FileNotFoundError:
+        return None
     except (OSError, ValueError) as e:
         _warn_corrupt(path, e)
         return None

@@ -276,11 +276,16 @@ def _labels(ff) -> list:
 
 
 def _group(p: int, e: int, elements) -> tuple:
-    """(add, neg) on (Z/p)^e, labelled 0..p^e - 1 by base-p digits: neg[x] is
-    -x for every label x, and add[v][x] is x + v for every v among `elements`
-    and their negatives.  Both are built one digit at a time, a digit of
-    x + v being a rotation of 0..p-1."""
+    """(add, neg, shift) on (Z/p)^e, labelled 0..p^e - 1 by base-p digits:
+    neg[x] is -x for every label x, add[v][x] is x + v for every v among
+    `elements` and their negatives, and shift(v) is the function that
+    translates a bitmask over the labels by any label v.  Adding v turns
+    each digit of x by a rotation of 0..p-1, so both are built one digit at
+    a time: with d the digit of v at weight w = p^i, a label whose digit
+    stays below p moves up by d w and any other down by (p - d) w; the
+    first are the low (p - d) w bits of every block of p w bits."""
     rotations = [[*range(d, p), *range(d)] for d in range(p)]
+    size = p ** e
     neg, w = [0], 1
     for _ in range(e):
         neg = [w * (-d % p) + x for d in range(p) for x in neg]
@@ -294,11 +299,28 @@ def _group(p: int, e: int, elements) -> tuple:
             w *= p
         return out
 
-    return {v: row(v) for v in {*elements, *(neg[v] for v in elements)}}, neg
+    def shift(v: int):
+        moves, w = [], 1
+        for _ in range(e):
+            v, d = divmod(v, p)
+            if d:
+                low = ((1 << (p - d) * w) - 1) * ((1 << size) - 1) // ((1 << p * w) - 1)
+                moves.append((low, d * w, (p - d) * w))
+            w *= p
+
+        def translate(mask: int) -> int:
+            for low, up, down in moves:
+                mask = (mask & low) << up | (mask & ~low) >> down
+            return mask
+
+        return translate
+
+    return {v: row(v) for v in {*elements, *(neg[v] for v in elements)}}, neg, shift
 
 
-def _bricks(elements: list, add, neg, signs: tuple) -> tuple:
-    """(free, minimal) for a list of group elements g_1..g_s, given by label.
+def _bricks(elements: list, add, neg, shift, signs: tuple) -> tuple:
+    """(free, minimal) for a list of group elements g_1..g_s, given by label,
+    on the group that `_group` describes.
 
     A vector t in Z^s has the value phi(t) = sum_k t_k g_k and the set
     Sub(t) = {phi(u) : u ⊑ t}, which holds 0 and phi(t); t is zero-sum-free
@@ -320,9 +342,9 @@ def _bricks(elements: list, add, neg, signs: tuple) -> tuple:
     up to e(p - 1) units on (Z/p)^e, past Python's recursion limit at
     p > 1000.
     """
-    size = len(neg)
     signed = [(k, sign, v if sign > 0 else neg[v]) for k, v in enumerate(elements) for sign in signs]
-    free = [[] for _ in range(size)]
+    translate = {v: shift(v) for _, _, v in signed}
+    free = [[] for _ in neg]
     minimal = []
     stack = [((0,) * len(elements), 0, 1, 0)]  # (t, phi(t), Sub(t), first signed unit to add)
     while stack:
@@ -337,10 +359,7 @@ def _bricks(elements: list, add, neg, signs: tuple) -> tuple:
                 if row[value] == 0 and next(e for e in u if e) > 0:
                     minimal.append(u)
                 continue
-            grown = sub
-            for x in range(size):
-                if sub >> x & 1:
-                    grown |= 1 << row[x]
+            grown = sub | translate[v](sub)
             free[row[value]].append((u, grown))
             stack.append((u, row[value], grown, i))
     return free, minimal
@@ -401,16 +420,15 @@ def _walk_vectors(ff, slots, parity: list, n: int) -> list:
     label, q = _labels(ff), ff.q
     units = [sum(label[(b * row[j]).k] * q ** i for i, row in enumerate(parity))
              for j in range(n) for b in slots]
-    add, neg = _group(ff.p, ff.r * len(parity), units)
-    return _bricks(units, add, neg, _signs(ff.p))[1]
+    return _bricks(units, *_group(ff.p, ff.r * len(parity), units), _signs(ff.p))[1]
 
 
 def _position_bricks(ff, slots) -> tuple:
     """(label, add, neg, free, minimal): the labels and the group (Z/p)^r of
     GF(q), and the bricks of one position (`_bricks` on the slot elements)."""
     label = _labels(ff)
-    add, neg = _group(ff.p, ff.r, range(ff.q))
-    return (label, add, neg) + _bricks([label[s.k] for s in slots], add, neg, _signs(ff.p))
+    add, neg, shift = _group(ff.p, ff.r, range(ff.q))
+    return (label, add, neg) + _bricks([label[s.k] for s in slots], add, neg, shift, _signs(ff.p))
 
 
 def _codewords(rows: list, n: int, elements: list, label: list, add) -> tuple:
@@ -459,7 +477,8 @@ def _codeword_vectors(ff, slots, generator: list, n: int, bricks: tuple) -> list
         for t, sub in free[c[j]]:
             f = F.get((j, sub))
             if f is None:
-                f = F[j, sub] = sum(bits for v, bits in B[j].items() if sub >> v & 1)
+                # B[j] at the members of Sub(t), the 1 digits of its bitmask
+                f = F[j, sub] = sum([B[j].get(v, 0) for v, bit in enumerate(bin(sub)[:1:-1]) if bit == "1"])
             if mask & f & suffix[l + 1]:
                 continue
             if l + 1 < len(supp):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: parsing, rendering, caching, exit codes."""
 
 import json
+import random
 import time
 
 import pytest
@@ -9,12 +10,16 @@ from codegb.cli import (
     BadElementTokenError,
     InconsistentDimensionsError,
     ParseError,
+    build_parser,
     main,
     parse_input,
+    render,
+    run,
 )
 
 F3_DOC = "field p=3 r=1 modulus=0,1\nparity 1 2 1\n"
 F4_DOC = "field p=2 r=2 modulus=1,1,1 basis=a,1\nparity a 1 a^2\n"
+ZERO_DOC = "field p=2 r=1 modulus=0,1\nparity 1\n"  # the zero code {0} of length 1
 
 F3_GRAVER_LINES = [
     "x[1,1] - x[3,1]",
@@ -145,6 +150,76 @@ def test_json_format_round_trips(capsys, f3_path):
     assert [[1, 0, 0], [0, 0, 1]] in doc["elements"]
 
 
+def indented_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# F3_DOC has a null basis, F4_DOC a basis list
+DOCS = {"f3": F3_DOC, "f4-basis": F4_DOC, "zero-code": ZERO_DOC}
+
+
+@pytest.mark.parametrize(
+    "doc,command,kind",
+    [
+        (doc, command, kind)
+        for doc in DOCS
+        for command in ("matrix", "toric", "rgb", "graver", "ugb", "verify")
+        for kind in ("ordinary", "generalized")
+        # the oracle of a generalized F4 verify takes seconds
+        if (doc, command, kind) != ("f4-basis", "verify", "generalized")
+    ],
+)
+def test_json_output_is_json_dumps_indented(doc, command, kind):
+    args = build_parser().parse_args([command, "-", "--kind", kind, "--format", "json", "--no-cache"])
+    payload, text = run(parse_input(DOCS[doc]), args)
+    assert text == render("json", payload) == indented_json(payload)
+
+
+def test_json_rendering_of_empty_and_filled_lists():
+    args = build_parser().parse_args(["verify", "-", "--format", "json", "--no-cache"])
+    payload, _ = run(parse_input(F3_DOC), args)
+    assert payload["only_pipeline"] == payload["only_oracle"] == []
+    pair = [[1, 0, 2], [0, 1, 0]]
+    disagreeing = {**payload, "agree": False, "only_pipeline": [pair], "only_oracle": [pair, pair[::-1]]}
+    graver, _ = run(parse_input(F3_DOC), build_parser().parse_args(["graver", "-", "--no-cache"]))
+    no_elements = {**graver, "count": 0, "elements": []}
+    for p in (disagreeing, no_elements):
+        assert render("json", p) == indented_json(p)
+
+
+def random_json(rng, depth=0):
+    """A random JSON tree: nested dicts, lists and tuples (which json writes
+    as lists), empty containers, lists of plain ints, booleans, None, large
+    and negative ints, and strings json has to escape."""
+    strings = ["", "x[1,1]", 'say "hi"', "back\\slash", "tab\tnew\nline", "é∑ \u2028", "\x00\x1f", "🙂"]
+    pick = rng.randrange(9 if depth < 4 else 5)
+    if pick == 0:
+        return rng.choice([True, False, None])
+    if pick == 1:
+        return rng.choice([0, 1, -1, 2 ** 64, -(2 ** 70) - 3, rng.randrange(-10 ** 6, 10 ** 6)])
+    if pick == 2:
+        return rng.choice(strings)
+    if pick == 3:
+        return [rng.randrange(-3, 2 ** 65) for _ in range(rng.randrange(0, 6))]
+    if pick == 4:
+        return rng.choice([[], {}, (), [True, 1], [1, False, 0], [None]])
+    items = [random_json(rng, depth + 1) for _ in range(rng.randrange(0, 5))]
+    if pick == 5:
+        return items
+    if pick == 6:
+        return tuple(items)
+    return {rng.choice(strings) + str(i % 3): item for i, item in enumerate(items)}
+
+
+def test_json_rendering_of_random_trees():
+    rng = random.Random(19)
+    for _ in range(500):
+        tree = random_json(rng)
+        assert render("json", tree) == indented_json(tree)
+    tree = {"z": [(1, 2), ()], "a": {"b": [True, 1], "": None}}
+    assert render("json", tree) == indented_json(tree)
+
+
 def test_rgb_prints_the_leading_side_first(capsys, f3_path):
     from codegb.orders import lex
 
@@ -224,6 +299,14 @@ def test_cache_hit_reproduces_bytes(capsys, f3_path, tmp_path):
     # one compact, key-sorted JSON document, as json.dumps writes it
     entry = before.decode("utf-8")
     assert entry == json.dumps(json.loads(entry), sort_keys=True)
+    # and json output of a generalized job with a basis, cold and cached
+    f4 = tmp_path / "f4.txt"
+    f4.write_text(F4_DOC)
+    argv = ["graver", str(f4), "--kind", "generalized", "--format", "json", "--cache-dir", str(cache)]
+    rc1, first, _ = run_cli(capsys, *argv)
+    rc2, second, err = run_cli(capsys, *argv)
+    assert rc1 == rc2 == 0 and second == first and err == ""
+    assert first == indented_json(json.loads(first))
 
 
 def test_cache_key_ignores_format(capsys, f3_path, tmp_path):
@@ -370,6 +453,23 @@ def test_cache_result_of_the_wrong_shape_is_recomputed(
     rc, out, err = run_cli(capsys, command, f3_path, "--cache-dir", str(cache), "--format", fmt)
     assert rc == 0 and out == first
     assert "corrupt cache" in err and why in err
+
+
+def test_cache_entry_that_vanishes_is_a_silent_miss(capsys, f3_path, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    assert (rc, err) == (0, "") and out.splitlines() == F3_GRAVER_LINES
+    entry = next(cache.glob("*.json"))
+
+    def open_after_removal(path, *args, **kwargs):
+        # the entry is removed between the lookup and the read
+        if path == str(entry):
+            raise FileNotFoundError(2, "No such file or directory", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr("codegb.cli.open", open_after_removal, raising=False)
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    assert (rc, err) == (0, "") and out.splitlines() == F3_GRAVER_LINES
 
 
 def test_mismatched_cache_key_is_rejected(capsys, f3_path, tmp_path):

@@ -37,6 +37,7 @@ from codegb.graver import (
     _codeword_test,
     _codeword_vectors,
     _doubled,
+    _group,
     _position_bricks,
     _primitive_vectors,
     _walk_bound,
@@ -678,6 +679,17 @@ def test_the_walk_and_the_codewords_agree_on_every_component():
     assert time.monotonic() - t0 < 20.0
     assert seen == {(p ** r, kind) for p, r in CROSS_ROUTE_FIELDS for kind in (ORDINARY, GENERALIZED)}
     assert cheaper == {True, False}
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 4), (3, 2), (5, 3), (1009, 1)])
+def test_group_shift_moves_every_label_as_the_add_table_does(p, e):
+    rng = random.Random(p ** e)
+    size = p ** e
+    add, neg, shift = _group(p, e, rng.sample(range(size), min(size, 5)))
+    for v, row in add.items():
+        assert sorted(row) == list(range(size)) and row[neg[v]] == 0
+        for mask in [0, (1 << size) - 1, 1] + [rng.getrandbits(size) for _ in range(20)]:
+            assert shift(v)(mask) == sum(1 << row[x] for x in range(size) if mask >> x & 1)
 
 
 def test_a_prime_field_past_the_recursion_limit():
