@@ -5,9 +5,11 @@ Input documents are line oriented: a `field` line, then one `parity` or
 written `0`, `a`, `a^K` (1 <= K <= q-1) or a plain integer m standing for
 m*1; in particular `1` is the multiplicative unit a^(q-1).
 
-Results are cached on disk keyed by a content hash of the job.  An entry that
-is not a JSON object of the right schema, key and job header, or whose result
-does not render, is reported on stderr as corrupt and recomputed.
+Results are cached on disk keyed by a content hash of the job.  An entry holds
+the result as compact JSON text next to the text's sha256.  One that is not a
+JSON object of the right schema and key, whose result text does not match its
+digest, or whose result does not render, is reported on stderr as corrupt and
+recomputed; one that cannot be read is reported as such and recomputed.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .orders import degrevlex, lex
 from .toric import toric_ideal
 from .universal import universal_basis
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 class ParseError(ValueError):
@@ -349,90 +351,39 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "codegb")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _cache_path(cache_dir: str, key_fields: dict) -> str:
-    digest = hashlib.sha256(
-        json.dumps(key_fields, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return os.path.join(cache_dir, f"{digest}.json")
+    return os.path.join(cache_dir, f"{_sha256(json.dumps(key_fields, sort_keys=True))}.json")
 
 
 def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
     """The cached result at `path`, or None: silently when there is no file,
-    with a report when the entry is corrupt."""
+    with a report when the entry cannot be read or is corrupt.  An entry
+    holds the result as its compact JSON text next to that text's sha256."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError("not a JSON object")
-        if payload.get("schema") != CACHE_SCHEMA or payload.get("key") != key_fields:
-            raise ValueError("schema or key mismatch")
-        result = payload.get("result")
-        if not isinstance(result, dict):
-            raise ValueError("result is not a JSON object")
-        if any(result.get(k) != v for k, v in key_fields.items()):
-            raise ValueError("result does not carry the header of its key")
-        _check_shape(result)
-        return result
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return None
-    except (OSError, ValueError) as e:
+    except OSError as e:
+        print(f"warning: could not read cache entry {path}: {e}", file=sys.stderr)
+        return None
+    try:
+        entry = json.loads(data)
+        if not isinstance(entry, dict):
+            raise ValueError("not a JSON object")
+        if entry.get("schema") != CACHE_SCHEMA or entry.get("key") != key_fields:
+            raise ValueError("schema or key mismatch")
+        body = entry.get("result")
+        if not isinstance(body, str) or entry.get("sha256") != _sha256(body):
+            raise ValueError("result does not match its sha256")
+        return json.loads(body)
+    except (ValueError, RecursionError) as e:  # json raises the latter on deep nesting
         _warn_corrupt(path, e)
         return None
-
-
-# the element lists of each command's result
-_ELEMENT_LISTS = {
-    "toric": ("elements",),
-    "rgb": ("elements",),
-    "graver": ("elements",),
-    "ugb": ("elements",),
-    "verify": ("only_pipeline", "only_oracle"),
-}
-
-
-def _check_shape(result: dict) -> None:
-    """Raise ValueError unless every element list of the result holds pairs of
-    exponent lists, one non-negative int per variable, `count` counts
-    `elements`, and a `matrix` result holds its three matrices as lists of
-    rows of ints.  JSON renders any body, so this is what catches a
-    malformed one there."""
-    if result["command"] == "matrix":
-        matrices = result.get("matrices")
-        keys = ("base", "extended", "lawrence")
-        if not (
-            isinstance(matrices, dict)
-            and all(type(matrices.get(k)) is list for k in keys)
-            and all(
-                type(row) is list and all(type(e) is int for e in row) for k in keys for row in matrices[k]
-            )
-        ):
-            raise ValueError("matrices holds a matrix that is no list of rows of integers")
-        return
-    keys = _ELEMENT_LISTS.get(result["command"], ())
-    variables = result.get("variables")
-    for key in keys:
-        elements = result.get(key)
-        if not isinstance(variables, list) or not isinstance(elements, list):
-            raise ValueError(f"{key} or variables is not a list")
-        if not _exponent_pairs(elements, len(variables)):
-            raise ValueError(f"{key} holds an element that is no pair of {len(variables)} exponents")
-    if "elements" in keys and result.get("count") != len(result["elements"]):
-        raise ValueError("count is not the number of elements")
-
-
-def _exponent_pairs(elements: list, width: int) -> bool:
-    """Whether every element is a pair of lists of `width` ints >= 0.  Plain
-    loops: nested all() over generators took three times as long."""
-    for e in elements:
-        if type(e) is not list or len(e) != 2:
-            return False
-        for side in e:
-            if type(side) is not list or len(side) != width:
-                return False
-            for x in side:
-                if type(x) is not int or x < 0:
-                    return False
-    return True
 
 
 def _warn_corrupt(path: str, why) -> None:
@@ -440,14 +391,15 @@ def _warn_corrupt(path: str, why) -> None:
 
 
 def _cache_write(path: str, key_fields: dict, result: dict) -> None:
-    payload = {"schema": CACHE_SCHEMA, "key": key_fields, "result": result}
+    body = json.dumps(result, sort_keys=True)
+    entry = {"schema": CACHE_SCHEMA, "key": key_fields, "result": body, "sha256": _sha256(body)}
     d = os.path.dirname(path)
     try:
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True))  # dump() encodes in Python, dumps() in C
+                fh.write(json.dumps(entry, sort_keys=True))  # dump() encodes in Python, dumps() in C
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -459,8 +411,8 @@ def _cache_write(path: str, key_fields: dict, result: dict) -> None:
 def run(doc: Document, args) -> tuple:
     """The result payload of the job that `args` (parsed by build_parser) asks
     of `doc`, and its rendering in args.format: read from the cache, or
-    computed and then cached.  A cached result that does not render is
-    corrupt."""
+    computed and then cached.  A cached result that passed its digest check
+    but does not render is corrupt too."""
     header = _header(doc, args)
     path = None
     if not args.no_cache:
@@ -519,11 +471,12 @@ def main(argv: Optional[list] = None) -> int:
     args = _parser.parse_args(argv)
     try:
         if args.input == "-":
-            text = sys.stdin.read()
+            # the bytes, so that stdin is decoded as a path is, whatever the locale
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read input: {e}", file=sys.stderr)
         return 2
     try:

@@ -151,7 +151,7 @@ from .binomials import (
     word_of_binomial,
 )
 from .codes import LinearCode, _rref, nullspace
-from .groebner import _Packed, _widening, buchberger
+from .groebner import _Packed, _blocks, _widening, buchberger
 from .matrices import build_He, build_Hplus_e, expansion, lawrence_lift
 from .orders import MonomialOrder, degrevlex
 from .toric import toric_ideal
@@ -385,21 +385,14 @@ def _code_components(code: LinearCode) -> list:
     by_parity = code.m <= code.k
     red, pivots = _rref(ff, code.H if by_parity else code.G)
     other = nullspace(ff, red, pivots, code.n)
-    comp = {j: {j} for j in range(code.n)}
-    for row in red:
-        merged = set().union(*(comp[j] for j, e in enumerate(row) if e))
-        for j in merged:
-            comp[j] = merged
-    first = [min(comp[j]) for j in range(code.n)]
-    parts = {}  # first position -> [positions, parity rows, generator rows]
-    for j in range(code.n):
-        parts.setdefault(first[j], [[], [], []])[0].append(j)
+    parts = [(P, [], []) for P in _blocks(red, code.n)]  # positions, parity rows, generator rows
+    part_of = {j: part for part in parts for j in part[0]}
     H, G = (red, other) if by_parity else (other, red)
     for which, rows in ((1, H), (2, G)):
         for row in rows:
-            parts[first[next(j for j, e in enumerate(row) if e)]][which].append(row)
+            part_of[next(j for j, e in enumerate(row) if e)][which].append(row)
     return [(P, [[row[j] for j in P] for row in h], [[row[j] for j in P] for row in g])
-            for P, h, g in parts.values()]
+            for P, h, g in parts]
 
 
 def _walk_bound(N: int, e: int, p: int) -> int:

@@ -220,7 +220,7 @@ def buchberger(gens: BinomialSet, order: MonomialOrder) -> GroebnerBasis:
     # union of the blocks' bases, and each block has its own standard monomials
     okey = order.key
     tables, elements = [], []
-    for cols in _blocks(hnf):
+    for cols in _blocks(hnf, space.dim):
         classes = _Classes(hnf, cols)
         found, std = _walk(classes, okey, space.dim)
         elements += found
@@ -283,27 +283,20 @@ def _xgcd(a: int, b: int):
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
-def _blocks(H: list) -> list:
-    """The column sets of the blocks of H, the classes of the columns linked
-    by the nonzero entries of a row.  A Hermite normal form is unique, so
-    when L is a direct sum over a partition of the variables, its rows keep
-    to the parts."""
-    dim = len(H)
-    root = list(range(dim))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for j, row in enumerate(H):
-        for k in range(j + 1, dim):
-            if row[k]:
-                root[find(k)] = find(j)
+def _blocks(rows: list, n: int) -> list:
+    """The column sets of the blocks of `rows`, the classes of the columns
+    0..n-1 linked by the nonzero entries of a row: each in increasing order,
+    the classes in the order of their first column.  A Hermite normal form
+    is unique, so when L is a direct sum over a partition of the variables,
+    its rows keep to the parts."""
+    linked = {j: {j} for j in range(n)}
+    for row in rows:
+        merged = set().union(*(linked[j] for j, e in enumerate(row) if e))
+        for j in merged:
+            linked[j] = merged
     blocks: dict = {}
-    for j in range(dim):
-        blocks.setdefault(find(j), []).append(j)
+    for j in range(n):
+        blocks.setdefault(min(linked[j]), []).append(j)
     return list(blocks.values())
 
 

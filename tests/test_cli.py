@@ -102,6 +102,23 @@ def test_unreadable_input_exits_2(capsys, tmp_path):
     assert rc == 2 and "cannot read input" in err
 
 
+NOT_UTF8 = b"field p=3 r=1 modulus=0,1\nparity 1 2 \xff\n"
+
+
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path, monkeypatch):
+    import io
+
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    rc, out, err = run_cli(capsys, "graver", str(bad), "--no-cache")
+    assert (rc, out) == (2, "") and err.startswith("error: cannot read input: ") and "0xff" in err
+    # as Python sets stdin up in its UTF-8 mode and under the C locale
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    rc, out, err = run_cli(capsys, "graver", "-", "--no-cache")
+    assert (rc, out) == (2, "") and err.startswith("error: cannot read input: ") and "0xff" in err
+
+
 # --------------------------------------------------------------- rendering
 
 
@@ -125,7 +142,7 @@ def test_ugb_text_output_drops_three_lines(capsys, f3_path):
 def test_stdin_input(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(F3_DOC))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(F3_DOC.encode("utf-8"))))
     rc, out, _ = run_cli(capsys, "graver", "-", "--no-cache")
     assert rc == 0 and out.splitlines() == F3_GRAVER_LINES
 
@@ -339,6 +356,14 @@ def test_order_is_an_rgb_option_only(capsys, f3_path, tmp_path, command):
     assert rc == 0 and "order" not in json.loads(out)
 
 
+def corrupt_result(entry, corrupt):
+    """Rewrite the result text stored in the cache entry file `entry` as
+    corrupt(result), leaving the schema, key and digest as written."""
+    payload = json.loads(entry.read_text())
+    payload["result"] = json.dumps(corrupt(json.loads(payload["result"])), sort_keys=True)
+    entry.write_text(json.dumps(payload, sort_keys=True))
+
+
 def test_corrupt_cache_is_reported_and_recomputed(capsys, f3_path, tmp_path):
     cache = tmp_path / "cache"
     _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
@@ -353,47 +378,45 @@ def test_corrupt_cache_is_reported_and_recomputed(capsys, f3_path, tmp_path):
     assert rc == 0 and out == first and err == ""
 
 
-@pytest.mark.parametrize("part", ["entry", "result"])
+@pytest.mark.parametrize("part", ["entry", "result", "nested-entry"])
 def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, f3_path, tmp_path, part):
     cache = tmp_path / "cache"
     _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     entry = next(cache.glob("*.json"))
     if part == "entry":
         entry.write_text("[]")  # valid JSON, but no payload
+        why = "not a JSON object"
+    elif part == "nested-entry":
+        entry.write_text("[" * 100_000 + "]" * 100_000)  # valid JSON, too deep to decode
+        why = "recursion depth"
     else:
-        payload = json.loads(entry.read_text())
-        payload["result"] = []  # schema and key match, the result is no object
-        entry.write_text(json.dumps(payload))
-    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
-    assert rc == 0 and out == first
-    assert "corrupt cache" in err and "not a JSON object" in err
-    assert isinstance(json.loads(entry.read_text())["result"], dict)
-
-
-@pytest.mark.parametrize(
-    "corrupt,why",
-    [
-        (lambda result: {}, "header"),
-        (lambda result: {"command": "graver"}, "header"),
-        (lambda result: {**result, "elements": [[1]]}, "no pair of 3 exponents"),
-        (
-            lambda result: {**result, "elements": [[["a"] * 3, [0] * 3]] + result["elements"][1:]},
-            "no pair of 3 exponents",
-        ),
-    ],
-    ids=["empty", "command-only", "element-not-a-pair", "exponent-not-a-number"],
-)
-def test_cache_result_that_is_no_payload_is_recomputed(capsys, f3_path, tmp_path, corrupt, why):
-    cache = tmp_path / "cache"
-    _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
-    entry = next(cache.glob("*.json"))
-    payload = json.loads(entry.read_text())
-    written = payload["result"]
-    payload["result"] = corrupt(written)  # schema and key match
-    entry.write_text(json.dumps(payload))
+        corrupt_result(entry, lambda result: [])  # schema and key match, the result is no object
+        why = "does not match its sha256"
     rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert rc == 0 and out == first
     assert "corrupt cache" in err and why in err
+    assert isinstance(json.loads(json.loads(entry.read_text())["result"]), dict)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda result: {},
+        lambda result: {"command": "graver"},
+        lambda result: {**result, "elements": [[1]]},
+        lambda result: {**result, "elements": [[["a"] * 3, [0] * 3]] + result["elements"][1:]},
+    ],
+    ids=["empty", "command-only", "element-not-a-pair", "exponent-not-a-number"],
+)
+def test_cache_result_that_is_no_payload_is_recomputed(capsys, f3_path, tmp_path, corrupt):
+    cache = tmp_path / "cache"
+    _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    entry = next(cache.glob("*.json"))
+    written = json.loads(entry.read_text())["result"]
+    corrupt_result(entry, corrupt)  # schema, key and digest as written
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    assert rc == 0 and out == first
+    assert "corrupt cache" in err and "does not match its sha256" in err
     assert json.loads(entry.read_text())["result"] == written
 
 
@@ -419,40 +442,59 @@ def first_base_entry(value):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize(
-    "command,corrupt,why",
+    "command,corrupt",
     [
-        ("graver", lambda result: {**result, "elements": [[1]]}, "no pair of 3 exponents"),
-        ("graver", lambda result: {**result, "elements": result["elements"][1:]}, "count is not"),
-        ("graver", lambda result: {**result, "count": 12}, "count is not"),
-        ("graver", first_side_cut_short, "no pair of 3 exponents"),
-        ("ugb", lambda result: {**result, "elements": None}, "not a list"),
-        ("verify", lambda result: {**result, "only_oracle": [[[1, 0, 0]]]}, "only_oracle holds"),
-        ("verify", lambda result: {**result, "only_pipeline": {}}, "not a list"),
-        ("graver", first_exponent("a"), "no pair of 3 exponents"),
-        ("graver", first_exponent(-7), "no pair of 3 exponents"),
-        ("graver", first_exponent(True), "no pair of 3 exponents"),
-        ("graver", first_exponent(1.5), "no pair of 3 exponents"),
-        ("matrix", lambda result: {**result, "matrices": {**result["matrices"], "base": "x"}},
-         "no list of rows of integers"),
-        ("matrix", first_base_entry("1"), "no list of rows of integers"),
+        ("graver", lambda result: {**result, "elements": [[1]]}),
+        ("graver", lambda result: {**result, "elements": result["elements"][1:]}),
+        ("graver", lambda result: {**result, "count": 12}),
+        ("graver", first_side_cut_short),
+        ("ugb", lambda result: {**result, "elements": None}),
+        ("verify", lambda result: {**result, "only_oracle": [[[1, 0, 0]]]}),
+        ("verify", lambda result: {**result, "only_pipeline": {}}),
+        ("graver", first_exponent("a")),
+        ("graver", first_exponent(-7)),
+        ("graver", first_exponent(True)),
+        ("graver", first_exponent(1.5)),
+        ("matrix", lambda result: {**result, "matrices": {**result["matrices"], "base": "x"}}),
+        ("matrix", first_base_entry("1")),
+        # in shape: the same exponent raised from 1 to 2, and a flipped verdict
+        ("graver", first_exponent(2)),
+        ("verify", lambda result: {**result, "agree": False}),
     ],
     ids=["not-a-pair", "element-dropped", "count-off", "short-side", "ugb-elements", "verify-pair",
          "verify-list", "exponent-a", "exponent-negative", "exponent-true", "exponent-float",
-         "matrix-not-rows", "matrix-entry-not-an-int"],
+         "matrix-not-rows", "matrix-entry-not-an-int", "exponent-raised", "verify-disagrees"],
 )
 def test_cache_result_of_the_wrong_shape_is_recomputed(
-    capsys, f3_path, tmp_path, command, corrupt, why, fmt
+    capsys, f3_path, tmp_path, command, corrupt, fmt
 ):
-    # JSON renders any body, so the shape is checked on the read path
+    # JSON renders any body, and a changed exponent renders in either
+    # format, so the read path checks the stored text against its digest
     cache = tmp_path / "cache"
     _, first, _ = run_cli(capsys, command, f3_path, "--cache-dir", str(cache), "--format", fmt)
     entry = next(cache.glob("*.json"))
-    payload = json.loads(entry.read_text())
-    payload["result"] = corrupt(payload["result"])  # schema and key match
-    entry.write_text(json.dumps(payload))
+    corrupt_result(entry, corrupt)  # schema, key and digest as written
     rc, out, err = run_cli(capsys, command, f3_path, "--cache-dir", str(cache), "--format", fmt)
     assert rc == 0 and out == first
-    assert "corrupt cache" in err and why in err
+    assert "corrupt cache" in err and "does not match its sha256" in err
+
+
+def test_cache_entry_that_cannot_be_read_is_not_called_corrupt(capsys, f3_path, tmp_path):
+    # a cache directory that is a regular file holds no entry to open
+    cache = tmp_path / "cache"
+    cache.write_text("")
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    assert rc == 0 and out.splitlines() == F3_GRAVER_LINES
+    assert "could not read cache entry" in err and "corrupt" not in err
+    # an entry path that is a directory
+    cache = tmp_path / "cache-2"
+    run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    entry = next(cache.glob("*.json"))
+    entry.unlink()
+    entry.mkdir()
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    assert rc == 0 and out.splitlines() == F3_GRAVER_LINES
+    assert "could not read cache entry" in err and "corrupt" not in err
 
 
 def test_cache_entry_that_vanishes_is_a_silent_miss(capsys, f3_path, tmp_path, monkeypatch):

@@ -284,7 +284,7 @@ def test_walk_equals_the_s_pair_loop_on_random_codes():
         dim = gens.space.dim
         hnf = _unit_lattice(gens.sorted(), dim)
         assert hnf is not None  # the walk's route
-        split.add(len(_blocks(hnf)) > 1)
+        split.add(len(_blocks(hnf, dim)) > 1)
         precedence = rng.sample(range(dim), dim)
         order = rng.choice([LexOrder, GradedRevlexOrder])(dim, precedence)
         if checked % 10 == 0:
