@@ -8,8 +8,10 @@ m*1; in particular `1` is the multiplicative unit a^(q-1).
 Results are cached on disk keyed by a content hash of the job.  An entry holds
 the result as compact JSON text next to the text's sha256.  One that is not a
 JSON object of the right schema and key, whose result text does not match its
-digest, or whose result does not render, is reported on stderr as corrupt and
-recomputed; one that cannot be read is reported as such and recomputed.
+digest or is not a JSON object, or whose result does not render, is reported
+on stderr as corrupt and recomputed; one that cannot be read is reported as
+such and recomputed.  An entry written under an earlier CACHE_SCHEMA is a
+miss, as a missing one is: recomputed and overwritten without a report.
 """
 
 from __future__ import annotations
@@ -360,9 +362,10 @@ def _cache_path(cache_dir: str, key_fields: dict) -> str:
 
 
 def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
-    """The cached result at `path`, or None: silently when there is no file,
-    with a report when the entry cannot be read or is corrupt.  An entry
-    holds the result as its compact JSON text next to that text's sha256."""
+    """The cached result at `path`, or None: silently when there is no file
+    or the entry has an earlier schema, with a report when the entry cannot
+    be read or is corrupt.  An entry holds the result as its compact JSON
+    text next to that text's sha256."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -375,12 +378,18 @@ def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
         entry = json.loads(data)
         if not isinstance(entry, dict):
             raise ValueError("not a JSON object")
-        if entry.get("schema") != CACHE_SCHEMA or entry.get("key") != key_fields:
+        schema = entry.get("schema")
+        if type(schema) is int and schema < CACHE_SCHEMA:
+            return None
+        if schema != CACHE_SCHEMA or entry.get("key") != key_fields:
             raise ValueError("schema or key mismatch")
         body = entry.get("result")
         if not isinstance(body, str) or entry.get("sha256") != _sha256(body):
             raise ValueError("result does not match its sha256")
-        return json.loads(body)
+        result = json.loads(body)
+        if not isinstance(result, dict):
+            raise ValueError("result is not a JSON object")
+        return result
     except (ValueError, RecursionError) as e:  # json raises the latter on deep nesting
         _warn_corrupt(path, e)
         return None

@@ -43,6 +43,7 @@ import operator
 from typing import Optional, Sequence
 
 from .binomials import Binomial, BinomialSet, DimensionMismatchError, InvariantError, VariableSpace
+from .matrices import _echelon
 from .orders import GradedRevlexOrder, MonomialOrder
 
 
@@ -234,7 +235,9 @@ def _unit_lattice(binoms, dim: int) -> Optional[list]:
     of the generators x^u - x^v, as upper triangular rows with positive
     diagonal and the entries above each diagonal entry d in [0, d); None
     unless every variable occurs in a generator whose other side is 1 and
-    the lattice has full rank."""
+    the lattice has full rank.  The pivot rows of the differences' echelon
+    form (matrices._echelon) span the lattice; a sign per row and a
+    reduction above the diagonal make that basis the unique HNF."""
     zero = (0,) * dim
     units = set()
     for b in binoms:
@@ -243,44 +246,18 @@ def _unit_lattice(binoms, dim: int) -> Optional[list]:
                 units.update(i for i, e in enumerate(side) if e)
     if len(units) < dim:
         return None
-    rows: dict = {}  # pivot column -> row
-    for b in binoms:
-        v = [a - c for a, c in zip(b.lhs, b.rhs)]
-        j = 0
-        while j < dim:
-            if not v[j]:
-                j += 1
-                continue
-            h = rows.get(j)
-            if h is None:
-                rows[j] = v if v[j] > 0 else [-e for e in v]
-                break
-            # unimodular step on (h, v): h takes gcd(h_j, v_j) at column j, v takes 0
-            g, s, t = _xgcd(h[j], v[j])
-            a, c = h[j] // g, v[j] // g
-            rows[j] = [s * x + t * y for x, y in zip(h, v)]
-            v = [a * y - c * x for x, y in zip(h, v)]
-    if len(rows) < dim:
+    H, _ = _echelon([[a - c for a, c in zip(b.lhs, b.rhs)] for b in binoms], dim)
+    if len(H) < dim:
         return None
-    H = [rows[j] for j in range(dim)]
     for j in range(dim):
+        if H[j][j] < 0:
+            H[j] = [-x for x in H[j]]
         d = H[j][j]
         for i in range(j):
             q = H[i][j] // d
             if q:
                 H[i] = [x - q * y for x, y in zip(H[i], H[j])]
     return H
-
-
-def _xgcd(a: int, b: int):
-    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
 def _blocks(rows: list, n: int) -> list:

@@ -2,7 +2,9 @@
 
 Expansions of a parity-check matrix over GF(p^r) into integer matrices over
 [0, p), one for each list of slot elements (binomials.slot_elements), their
-extension with p*I, and the p-Lawrence lifting.
+extension with p*I, and the p-Lawrence lifting.  `_echelon` is the package's
+one integer row reduction: the kernel lattice of toric.kernel_basis and the
+Hermite normal form of groebner._unit_lattice both come from it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,39 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.nrows}x{self.ncols})"
+
+
+def _echelon(rows, ncols: int) -> tuple:
+    """Echelon form of the integer `rows` over their first `ncols` columns by
+    unimodular row operations: (top, rest), the rows with a pivot in the
+    order of their pivot columns, and the rows that are zero in all of those
+    columns.  At each column the row with the smallest nonzero |entry| becomes
+    the pivot and the rows below it take their remainders by it (Euclid's
+    algorithm), until only the pivot is nonzero there.  Each operation acts on
+    whole rows, so columns past `ncols` carry the transform along."""
+    R = [list(row) for row in rows]
+    k = 0  # rows with a pivot so far
+    for c in range(ncols):
+        while True:
+            piv, least = None, 0
+            for i in range(k, len(R)):
+                e = R[i][c]
+                if e and (piv is None or abs(e) < least):
+                    piv, least = i, abs(e)
+            if piv is None:
+                break
+            R[k], R[piv] = R[piv], R[k]
+            top = R[k]
+            done = True
+            for i in range(k + 1, len(R)):
+                q = R[i][c] // top[c]  # nonzero exactly when R[i][c] is
+                if q:
+                    R[i] = [x - q * y for x, y in zip(R[i], top)]
+                    done = done and not R[i][c]
+            if done:
+                k += 1
+                break
+    return R[:k], R[k:]
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:

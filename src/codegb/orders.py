@@ -111,7 +111,3 @@ def lex(dim: int, precedence=None) -> LexOrder:
 
 def degrevlex(dim: int, precedence=None) -> GradedRevlexOrder:
     return GradedRevlexOrder(dim, precedence)
-
-
-def weight_order(weights, tie: MonomialOrder) -> WeightOrder:
-    return WeightOrder(weights, tie)

@@ -1,7 +1,8 @@
 """Integer kernel lattices and toric ideals of integer matrices.
 
-kernel_basis performs a column-style Hermite reduction while carrying the
-unimodular transform, so the returned vectors span the full kernel lattice
+kernel_basis reads ker_Z(A) off the echelon form (matrices._echelon) of the
+columns of A, each extended by a unit vector that records the row operations;
+those are unimodular, so the returned vectors span the full kernel lattice
 rather than a finite-index sublattice.  toric_ideal turns a kernel basis into
 binomial generators and saturates; the saturation trick (graded-revlex with
 the cheapest variable) needs a positive grading that makes the ideal
@@ -20,56 +21,21 @@ from .binomials import (
     substitute_ones,
 )
 from .groebner import saturate_all
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _echelon
 
 
 def kernel_basis(A: IntMatrix) -> tuple:
     """Lattice basis of the integer kernel of A: a tuple of int vectors v of
-    length A.ncols with Av = 0."""
+    length A.ncols with Av = 0.  The rows col_j(A) | e_j, brought to echelon
+    form over their first A.nrows entries, end as pivot rows and rows
+    (0 | u) with Au = 0; the row operations are unimodular, so those u span
+    ker_Z(A) itself."""
     m, n = A.nrows, A.ncols
-    M = [list(A.row(i)) for i in range(m)]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colswap(a, b):
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-        for row in U:
-            row[a], row[b] = row[b], row[a]
-
-    def colsub(dst, src, q):
-        if q == 0:
-            return
-        for row in M:
-            row[dst] -= q * row[src]
-        for row in U:
-            row[dst] -= q * row[src]
-
-    col = 0
-    for r in range(m):
-        if col >= n:
-            break
-        while True:
-            piv = None
-            for j in range(col, n):
-                e = M[r][j]
-                if e != 0 and (piv is None or abs(e) < abs(M[r][piv])):
-                    piv = j
-            if piv is None:
-                break
-            if piv != col:
-                colswap(piv, col)
-            pv = M[r][col]
-            done = True
-            for j in range(col + 1, n):
-                if M[r][j]:
-                    colsub(j, col, M[r][j] // pv)
-                    if M[r][j]:
-                        done = False
-            if done:
-                break
-        if col < n and M[r][col] != 0:
-            col += 1
-    return tuple(tuple(U[i][j] for i in range(n)) for j in range(col, n))
+    rows = [[*A.column(j)] + [0] * n for j in range(n)]
+    for j, row in enumerate(rows):
+        row[m + j] = 1
+    _, rest = _echelon(rows, m)
+    return tuple(tuple(row[m:]) for row in rest)
 
 
 def _lattice_generators(A: IntMatrix, space: VariableSpace) -> BinomialSet:

@@ -6,6 +6,7 @@ the run.  Wall-clock budgets are asserted where a criterion carries one.
 """
 
 import itertools
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -301,7 +302,7 @@ def small_code_sample(ff2, ff3):
 def test_criterion_06_oracle_equivalence(acceptance, small_code_sample, code_f4, f4_graver):
     with checklist(
         acceptance,
-        "6. Graver routes (circuits at p = 2, bricks at odd p) agree with the "
+        "6. the Graver route (a zero-sum walk or the codewords, per component) agrees with the "
         "exhaustive oracle on all 31 small codes plus the quaternary crossed ideal, < 10min",
     ):
         t0 = time.monotonic()
@@ -414,6 +415,23 @@ def _rational_rank(rows, ncols):
     return rank
 
 
+def _det(rows):
+    m = [[Fraction(e) for e in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return int(det)
+
+
 def _random_order(rng, dim):
     perm = list(range(dim))
     rng.shuffle(perm)
@@ -485,6 +503,12 @@ def test_criterion_10_randomized_properties(acceptance, ff4, ff9):
             assert len(kb) == nc - _rational_rank(rows, nc)
             for v in kb:
                 assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+            # the basis spans ker_Z(A) itself, no sublattice of finite index:
+            # the gcd of its maximal minors is 1
+            if kb:
+                minors = [_det([[v[j] for j in cols] for v in kb])
+                          for cols in itertools.combinations(range(nc), len(kb))]
+                assert math.gcd(*minors) == 1
 
         for _ in range(1000):
             dim = rng.randrange(1, 4)

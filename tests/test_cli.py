@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: parsing, rendering, caching, exit codes."""
 
+import hashlib
 import json
 import random
 import time
@@ -7,6 +8,7 @@ import time
 import pytest
 
 from codegb.cli import (
+    CACHE_SCHEMA,
     BadElementTokenError,
     InconsistentDimensionsError,
     ParseError,
@@ -155,6 +157,52 @@ def test_matrix_text_sections(capsys, f3_path):
     assert "H(q):" in lines and "1 2 1 3" in lines
     assert "Lawrence:" in lines
     assert lines[lines.index("Lawrence:") + 1] == "1 2 1 0 0 0 3"
+
+
+# A toric ideal has many generating sets; the one printed depends on the
+# kernel basis that the saturation starts from.
+TORIC_LINES = {
+    ("f3", "ordinary"): [
+        "x[1,1] - x[3,1]",
+        "x[3,1]^2 - x[2,1]",
+        "x[3,1]^3 - y[1]",
+    ],
+    ("f4-basis", "ordinary"): [
+        "x[2,2] - x[3,1]",
+        "x[1,2] - x[2,1]",
+        "x[1,1] - x[3,2]",
+        "x[3,2]^2 - y[1]*y[2]",
+        "x[3,1]*x[3,2] - x[2,1]*y[2]",
+        "x[3,1]^2 - y[2]",
+        "x[2,1]*x[3,2] - x[3,1]*y[1]",
+        "x[2,1]*x[3,1] - x[3,2]",
+        "x[2,1]^2 - y[1]",
+    ],
+    # criterion 3's crossed ideal
+    ("f4-basis", "generalized"): [
+        "x[2,3] - x[3,1]",
+        "x[2,2] - x[3,3]",
+        "x[2,1] - x[3,2]",
+        "x[1,3] - x[3,2]",
+        "x[1,2] - x[3,1]",
+        "x[1,1] - x[3,3]",
+        "x[3,3]^2 - y[1]*y[2]",
+        "x[3,2]*x[3,3] - x[3,1]*y[1]",
+        "x[3,2]^2 - y[1]",
+        "x[3,1]*x[3,3] - x[3,2]*y[2]",
+        "x[3,1]*x[3,2] - x[3,3]",
+        "x[3,1]^2 - y[2]",
+    ],
+}
+
+
+@pytest.mark.parametrize("doc,kind", list(TORIC_LINES))
+def test_toric_text_output_is_the_golden_listing(capsys, tmp_path, doc, kind):
+    path = tmp_path / "doc.txt"
+    path.write_text(DOCS[doc])
+    rc, out, err = run_cli(capsys, "toric", str(path), "--kind", kind, "--no-cache")
+    assert (rc, err) == (0, "")
+    assert out == "".join(line + "\n" for line in TORIC_LINES[doc, kind])
 
 
 def test_json_format_round_trips(capsys, f3_path):
@@ -524,6 +572,47 @@ def test_mismatched_cache_key_is_rejected(capsys, f3_path, tmp_path):
     rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert rc == 0 and "corrupt cache" in err
     assert out.splitlines() == F3_GRAVER_LINES
+
+
+@pytest.mark.parametrize("command", ["verify", "graver"])
+def test_cache_result_that_is_no_object_under_its_digest_is_recomputed(
+    capsys, f3_path, tmp_path, command
+):
+    # valid JSON whose digest matches, but no payload: verify read
+    # result["agree"] from it, and graver rendered it as []
+    cache = tmp_path / "cache"
+    argv = [command, f3_path, "--cache-dir", str(cache), "--format", "json"]
+    _, first, _ = run_cli(capsys, *argv)
+    entry = next(cache.glob("*.json"))
+    payload = json.loads(entry.read_text())
+    payload["result"] = "[]"
+    payload["sha256"] = hashlib.sha256(b"[]").hexdigest()
+    entry.write_text(json.dumps(payload, sort_keys=True))
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and out == first
+    assert "corrupt cache" in err and "result is not a JSON object" in err
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (0, first, "")
+
+
+def test_cache_entry_of_an_earlier_schema_is_a_silent_miss(capsys, f3_path, tmp_path):
+    # an entry as schema 1 wrote it: the result object itself, no digest
+    cache = tmp_path / "cache"
+    _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    entry = next(cache.glob("*.json"))
+    written = entry.read_bytes()
+    payload = json.loads(written)
+    old = {"schema": CACHE_SCHEMA - 1, "key": payload["key"], "result": json.loads(payload["result"])}
+    entry.write_text(json.dumps(old, sort_keys=True))
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+    assert (rc, out, err) == (0, first, "")
+    assert entry.read_bytes() == written  # overwritten as a missing entry is
+    # a later or malformed schema is no earlier one, and is reported
+    for schema in (CACHE_SCHEMA + 1, "1", None):
+        entry.write_text(json.dumps({**payload, "schema": schema}, sort_keys=True))
+        rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+        assert rc == 0 and out == first
+        assert "corrupt cache" in err and "schema or key mismatch" in err
 
 
 def test_no_cache_leaves_no_files(capsys, f3_path, tmp_path):

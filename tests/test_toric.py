@@ -46,6 +46,26 @@ def test_kernel_spans_integrally():
     assert tuple(abs(x) for x in v) == (2, 1)
 
 
+def test_kernel_basis_is_the_golden_basis():
+    # A kernel lattice has many bases; these pin the one the smallest-pivot
+    # row reduction gives (the first row among equal |entries|), on the
+    # [3,2] code's H(q) and Lawrence lift and on the homogenised form that
+    # toric_ideal builds for a matrix with negative entries.
+    He = IntMatrix([[1, 2, 1]])  # parity 1 2 1 over GF(3)
+    assert kernel_basis(IntMatrix([[1, 2, 1, 3]])) == ((-2, 1, 0, 0), (-1, 0, 1, 0), (-3, 0, 0, 1))
+    assert kernel_basis(lawrence_lift(He, 3)) == (
+        (2, -1, 0, -2, 1, 0, 0),
+        (1, 0, -1, -1, 0, 1, 0),
+        (-3, 0, 0, 3, 0, 0, 1),
+    )
+    homogenised = IntMatrix([[-1, 3, 0, 2, 3, 0], [1, -2, 3, 3, 1, 0], [1, 1, 1, 1, 1, 1]])
+    assert kernel_basis(homogenised) == (
+        (-13, -5, 0, 1, 0, 17),
+        (-9, -4, 0, 0, 1, 12),
+        (-9, -3, 1, 0, 0, 11),
+    )
+
+
 def sp(n):
     return VariableSpace(Block("x", (n, 1)))
 
