@@ -6,12 +6,16 @@ written `0`, `a`, `a^K` (1 <= K <= q-1) or a plain integer m standing for
 m*1; in particular `1` is the multiplicative unit a^(q-1).
 
 Results are cached on disk keyed by a content hash of the job.  An entry holds
-the result as compact JSON text next to the text's sha256.  One that is not a
-JSON object of the right schema and key, whose result text does not match its
-digest or is not a JSON object, or whose result does not render, is reported
-on stderr as corrupt and recomputed; one that cannot be read is reported as
-such and recomputed.  An entry written under an earlier CACHE_SCHEMA is a
-miss, as a missing one is: recomputed and overwritten without a report.
+the result as the text that `--format json` prints, next to the text's
+sha256, so a JSON hit writes the stored text and renders nothing: a body that
+passes its digest check is served as written, and the digest is what guards
+it.  A text hit renders the parsed result.  One entry serves both formats.
+An entry that is not a JSON object of the right schema and key, whose result
+text does not match its digest or is not a JSON object, whose `verify` result
+has no bool `agree`, or whose result does not render as text, is reported on
+stderr as corrupt and recomputed; one that cannot be read is reported as such
+and recomputed.  An entry written under an earlier CACHE_SCHEMA is a miss, as
+a missing one is: recomputed and overwritten without a report.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .orders import degrevlex, lex
 from .toric import toric_ideal
 from .universal import universal_basis
 
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 class ParseError(ValueError):
@@ -361,11 +365,11 @@ def _cache_path(cache_dir: str, key_fields: dict) -> str:
     return os.path.join(cache_dir, f"{_sha256(json.dumps(key_fields, sort_keys=True))}.json")
 
 
-def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
-    """The cached result at `path`, or None: silently when there is no file
-    or the entry has an earlier schema, with a report when the entry cannot
-    be read or is corrupt.  An entry holds the result as its compact JSON
-    text next to that text's sha256."""
+def _cache_read(path: str, key_fields: dict) -> Optional[tuple]:
+    """The cached result at `path` and its stored text, or None: silently
+    when there is no file or the entry has an earlier schema, with a report
+    when the entry cannot be read or is corrupt.  An entry holds the result
+    as the `--format json` text next to that text's sha256."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -389,7 +393,7 @@ def _cache_read(path: str, key_fields: dict) -> Optional[dict]:
         result = json.loads(body)
         if not isinstance(result, dict):
             raise ValueError("result is not a JSON object")
-        return result
+        return result, body
     except (ValueError, RecursionError) as e:  # json raises the latter on deep nesting
         _warn_corrupt(path, e)
         return None
@@ -399,8 +403,7 @@ def _warn_corrupt(path: str, why) -> None:
     print(f"warning: ignoring corrupt cache entry {path}: {why}", file=sys.stderr)
 
 
-def _cache_write(path: str, key_fields: dict, result: dict) -> None:
-    body = json.dumps(result, sort_keys=True)
+def _cache_write(path: str, key_fields: dict, body: str) -> None:
     entry = {"schema": CACHE_SCHEMA, "key": key_fields, "result": body, "sha256": _sha256(body)}
     d = os.path.dirname(path)
     try:
@@ -420,22 +423,31 @@ def _cache_write(path: str, key_fields: dict, result: dict) -> None:
 def run(doc: Document, args) -> tuple:
     """The result payload of the job that `args` (parsed by build_parser) asks
     of `doc`, and its rendering in args.format: read from the cache, or
-    computed and then cached.  A cached result that passed its digest check
-    but does not render is corrupt too."""
+    computed and then cached.  A JSON hit is the stored text itself.  A
+    cached `verify` result without a bool `agree`, which main reads, and a
+    cached result that does not render as text are corrupt too."""
     header = _header(doc, args)
     path = None
     if not args.no_cache:
         path = _cache_path(args.cache_dir or default_cache_dir(), header)
-        result = _cache_read(path, header)
-        if result is not None:
-            try:
-                return result, render(args.format, result)
-            except Exception as e:
-                _warn_corrupt(path, f"result does not render: {type(e).__name__}: {e}")
+        hit = _cache_read(path, header)
+        if hit is not None:
+            result = hit[0]
+            if args.command == "verify" and type(result.get("agree")) is not bool:
+                _warn_corrupt(path, "verify result has no bool agree")
+            elif args.format == "json":
+                return hit
+            else:
+                try:
+                    return result, _render_text(result)
+                except Exception as e:
+                    _warn_corrupt(path, f"result does not render: {type(e).__name__}: {e}")
     result = {**header, **_compute(doc, args)}
+    # one JSON rendering is both the entry's text and the json output
+    body = render("json", result) if path is not None or args.format == "json" else None
     if path is not None:
-        _cache_write(path, header, result)
-    return result, render(args.format, result)
+        _cache_write(path, header, body)
+    return result, body if args.format == "json" else _render_text(result)
 
 
 # ------------------------------------------------------------------ CLI entry

@@ -115,14 +115,9 @@ nonnegative minimal vectors are 2e_i and the 0/1 vectors 1_S.
 
 The completion procedure of Pottier ("The Euclidean algorithm in dimension
 n", ISSAC 1996) and Hemmecke ("On the positive sum property and the
-computation of Graver test sets", Math. Prog. 96, 2002), `_primitive_vectors`,
-computes primitive vectors in Z^N from any lattice basis; it serves the
-tests as the oracle of both enumerations.  Its conformal reduction is the
-normal form of groebner._Packed, the one that Buchberger's loop uses, in
-doubled variables x, y: u ⊑ v exactly when x^(u+) y^(u-) divides
-x^(v+) y^(v-) (the Lawrence lifting; Sturmfels, "Gröbner Bases and Convex
-Polytopes", 1996, Ch. 7), so each element u becomes the rules
-x^(u+) y^(u-) -> 1 and x^(u-) y^(u+) -> 1.
+computation of Graver test sets", Math. Prog. 96, 2002) computes primitive
+vectors in Z^N from any lattice basis; tests/test_graver.py holds it as the
+oracle of both enumerations.
 
 The paper's route, the toric ideal of the p-Lawrence lifting over the doubled
 x/y space with y set to 1 at the end, is kept as `graver_lawrence`, and an
@@ -132,10 +127,9 @@ both serve as independent cross-checks.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from .binomials import (
     GENERALIZED,
@@ -151,7 +145,7 @@ from .binomials import (
     word_of_binomial,
 )
 from .codes import LinearCode, _rref, nullspace
-from .groebner import _Packed, _blocks, _widening, buchberger
+from .groebner import _blocks, buchberger
 from .matrices import build_He, build_Hplus_e, expansion, lawrence_lift
 from .orders import MonomialOrder, degrevlex
 from .toric import toric_ideal
@@ -189,83 +183,6 @@ class GraverBasis:
 
     def __repr__(self):
         return f"GraverBasis({self.kind}, {len(self.elements)} elements)"
-
-
-def _primitive_vectors(gens: Sequence[Sequence[int]], dim: int) -> list:
-    """One of each pair +-v of the primitive vectors of the lattice that gens
-    span over Z.
-
-    Completion: every generator, and every sum f + g of two elements found so
-    far, is reduced conformally by the elements found so far, and a nonzero
-    remainder becomes a new element.  When no sum is left, every lattice
-    vector is a conformal sum of elements (the positive sum property), so the
-    ⊑-minimal elements are the primitive vectors.  Sums are taken smallest
-    1-norm first (the normal strategy).  A sum f + g with f_i g_i >= 0 for
-    every i is skipped: f ⊑ f + g, and reducing by f leaves g, which reduces
-    to zero.  Elements are stored up to sign, so the pairs are the sums of f
-    with g and with -g.
-
-    The reduction is the normal form of a groebner._Packed in the doubled
-    variables of the module docstring: v is x^(v+) y^(v-), and the rule of
-    +-u applies exactly when +-u ⊑ v, leaving v -+ u.  The support mask of
-    x^(u+) y^(u-) marks the positive entries of u in its x half and the
-    negative ones in its y half, so f + g cancels somewhere exactly when the
-    masks of f and -g meet.  A sum with an entry past the fields' cap starts
-    the completion over on fields twice as wide.
-    """
-
-    def attempt(width: int) -> list:
-        found = _Packed(2 * dim, width)
-        masks = found.lead_sm  # of u and -u, at 2k and 2k + 1 for the k-th element u
-        vectors, pairs = [], []
-
-        def insert_remainder(v) -> None:
-            m = found.normalize(found.pack(_doubled(v)))
-            if not m:
-                return
-            r = found.unpack(m)
-            f = tuple(a - b for a, b in zip(r[:dim], r[dim:]))
-            k = len(vectors)
-            vectors.append(f)
-            _add_rules(found, f)
-            mask = masks[2 * k]
-            for j in range(k):
-                g = vectors[j]
-                if mask & masks[2 * j + 1]:  # f + g cancels somewhere
-                    heapq.heappush(pairs, (sum(abs(a + b) for a, b in zip(f, g)), k, j, 1))
-                if mask & masks[2 * j]:  # f - g cancels somewhere
-                    heapq.heappush(pairs, (sum(abs(a - b) for a, b in zip(f, g)), k, j, -1))
-
-        for g in gens:
-            insert_remainder(g)
-        while pairs:
-            _, k, j, sign = heapq.heappop(pairs)
-            insert_remainder([a + sign * b for a, b in zip(vectors[k], vectors[j])])
-
-        # an element is kept unless a kept one of smaller norm is conformal to it
-        minimal = _Packed(2 * dim, width)
-        kept = []
-        for v in sorted(vectors, key=lambda v: sum(map(abs, v))):
-            m = minimal.pack(_doubled(v))
-            if minimal.normalize(m) == m:
-                kept.append(v)
-                _add_rules(minimal, v)
-        return kept
-
-    # start with fields that hold the sum of two generators
-    bound = max((abs(e) for v in gens for e in v), default=1)
-    return _widening(attempt, (2 * bound).bit_length() + 1)
-
-
-def _doubled(v) -> list:
-    """The exponents of x^(v+) y^(v-), for the x variables followed by the y."""
-    return [e if e > 0 else 0 for e in v] + [-e if e < 0 else 0 for e in v]
-
-
-def _add_rules(pk: _Packed, u) -> None:
-    """The rules x^(u+) y^(u-) -> 1 and x^(u-) y^(u+) -> 1."""
-    pk.add(pk.pack(_doubled(u)), 0)
-    pk.add(pk.pack(_doubled([-e for e in u])), 0)
 
 
 def _labels(ff) -> list:

@@ -30,7 +30,8 @@ step are a handful of big-integer operations; the field width grows
 automatically if an exponent overflows.  One packed normal form serves
 Buchberger's reductions, the final autoreduction, `reduce` on the bases
 that this loop makes, which `reduce` packs once, on first use, and the
-conformal reduction of the completion in `graver`.  Pair
+conformal reduction of the completion that the tests run as their Graver
+oracle.  Pair
 selection follows the normal strategy (smallest lcm first, insertion index
 as tie-break) with the coprimality and chain criteria.
 """

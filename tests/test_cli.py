@@ -375,7 +375,8 @@ def test_cache_hit_reproduces_bytes(capsys, f3_path, tmp_path):
 
 
 def test_cache_key_ignores_format(capsys, f3_path, tmp_path):
-    # the cached payload is presentation-free, so text and json share an entry
+    # the key is presentation-free: text and json share one entry, which
+    # stores the json text
     cache = tmp_path / "cache"
     run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     rc, out, _ = run_cli(
@@ -383,6 +384,92 @@ def test_cache_key_ignores_format(capsys, f3_path, tmp_path):
     )
     assert rc == 0 and json.loads(out)["count"] == 13
     assert len(list(cache.glob("*.json"))) == 1
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "doc,command,kind",
+    [
+        (doc, command, kind)
+        for doc in ("f3", "f4-basis")
+        for command in ("matrix", "toric", "rgb", "graver", "ugb", "verify")
+        for kind in ("ordinary", "generalized")
+        # the oracle of a generalized F4 verify takes seconds
+        if (doc, command, kind) != ("f4-basis", "verify", "generalized")
+    ],
+)
+def test_cache_entry_stores_the_json_output(capsys, tmp_path, doc, command, kind):
+    path = tmp_path / "doc.txt"
+    path.write_text(DOCS[doc])
+    job = [command, str(path), "--kind", kind]
+    uncached = {fmt: run_cli(capsys, *job, "--no-cache", "--format", fmt) for fmt in ("text", "json")}
+    assert uncached["json"][0] == 0 and uncached["json"][2] == ""
+    for first, then in (("text", "json"), ("json", "text")):
+        cache = tmp_path / f"cache-{first}"
+        argv = [*job, "--cache-dir", str(cache), "--format"]
+        assert run_cli(capsys, *argv, first) == uncached[first]
+        entry = next(cache.glob("*.json"))
+        written = entry.read_bytes()
+        assert json.loads(written)["result"] == uncached["json"][1]
+        assert run_cli(capsys, *argv, then) == uncached[then]
+        # an entry in the layout of schema 2, the result's compact JSON text
+        # under its digest, is a silent miss and is overwritten
+        body = json.dumps(json.loads(uncached["json"][1]), sort_keys=True)
+        old = {**json.loads(written), "schema": 2, "result": body, "sha256": sha256_hex(body)}
+        entry.write_text(json.dumps(old, sort_keys=True))
+        assert run_cli(capsys, *argv, then) == uncached[then]
+        assert entry.read_bytes() == written
+
+
+def test_json_hit_is_the_stored_text_and_renders_nothing(capsys, f3_path, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ["graver", f3_path, "--cache-dir", str(cache), "--format", "json"]
+    cold = run_cli(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr("codegb.cli._json", refuse)
+    monkeypatch.setattr("codegb.cli.render", refuse)
+    assert run_cli(capsys, *argv) == cold
+    # a job without a cache that prints text renders no json
+    rc, out, err = run_cli(capsys, "graver", f3_path, "--no-cache")
+    assert (rc, err) == (0, "") and out.splitlines() == F3_GRAVER_LINES
+    # the digest guards the stored text, which is served as written
+    entry = next(cache.glob("*.json"))
+    payload = json.loads(entry.read_text())
+    body = json.dumps(json.loads(payload["result"])) + "\n"
+    entry.write_text(json.dumps({**payload, "result": body, "sha256": sha256_hex(body)}))
+    assert run_cli(capsys, *argv) == (0, body, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda result: {k: v for k, v in result.items() if k != "agree"},
+        lambda result: {**result, "agree": 1},
+        lambda result: {**result, "agree": "true"},
+        lambda result: {**result, "agree": None},
+    ],
+    ids=["missing", "int", "string", "null"],
+)
+def test_cached_verify_without_a_bool_agree_is_recomputed(capsys, f3_path, tmp_path, corrupt, fmt):
+    # main reads the verdict, so a digest-matching entry without it is corrupt
+    cache = tmp_path / "cache"
+    argv = ["verify", f3_path, "--cache-dir", str(cache), "--format", fmt]
+    first = run_cli(capsys, *argv)
+    entry = next(cache.glob("*.json"))
+    payload = json.loads(entry.read_text())
+    body = indented_json(corrupt(json.loads(payload["result"])))
+    entry.write_text(json.dumps({**payload, "result": body, "sha256": sha256_hex(body)}))
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (0, first[1])
+    assert "corrupt cache" in err and "verify result has no bool agree" in err
+    assert run_cli(capsys, *argv) == first
 
 
 def test_cache_key_separates_commands_and_orders(capsys, f3_path, tmp_path):
@@ -586,7 +673,7 @@ def test_cache_result_that_is_no_object_under_its_digest_is_recomputed(
     entry = next(cache.glob("*.json"))
     payload = json.loads(entry.read_text())
     payload["result"] = "[]"
-    payload["sha256"] = hashlib.sha256(b"[]").hexdigest()
+    payload["sha256"] = sha256_hex("[]")
     entry.write_text(json.dumps(payload, sort_keys=True))
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0 and out == first
@@ -602,7 +689,7 @@ def test_cache_entry_of_an_earlier_schema_is_a_silent_miss(capsys, f3_path, tmp_
     entry = next(cache.glob("*.json"))
     written = entry.read_bytes()
     payload = json.loads(written)
-    old = {"schema": CACHE_SCHEMA - 1, "key": payload["key"], "result": json.loads(payload["result"])}
+    old = {"schema": 1, "key": payload["key"], "result": json.loads(payload["result"])}
     entry.write_text(json.dumps(old, sort_keys=True))
     rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert (rc, out, err) == (0, first, "")

@@ -2,12 +2,14 @@
 code, cross-checked by the completion, by the Lawrence route and by brute
 force."""
 
+import heapq
 import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+from typing import Sequence
 
 import pytest
 
@@ -32,14 +34,11 @@ from codegb.fields import DependentBasisError, FiniteField, NonPrimitiveModulusE
 from codegb.graver import (
     GraverBasis,
     SearchSpaceTooLargeError,
-    _add_rules,
     _code_components,
     _codeword_test,
     _codeword_vectors,
-    _doubled,
     _group,
     _position_bricks,
-    _primitive_vectors,
     _walk_bound,
     _walk_vectors,
     graver_bruteforce,
@@ -47,7 +46,7 @@ from codegb.graver import (
     graver_lawrence,
     graver_ordinary,
 )
-from codegb.groebner import _Packed
+from codegb.groebner import _Packed, _widening
 from codegb.matrices import build_He, build_Hplus_e, extend_with_pI
 from codegb.toric import kernel_basis
 from codegb.universal import universal_basis
@@ -298,6 +297,95 @@ def test_completion_equals_bruteforce_on_random_codes():
         (7, GENERALIZED), (8, GENERALIZED), (9, GENERALIZED)
     }
     assert rebased == fields - {2}
+
+
+# ------------------------------------------------ the completion oracle
+# The completion procedure of Pottier ("The Euclidean algorithm in dimension
+# n", ISSAC 1996) and Hemmecke ("On the positive sum property and the
+# computation of Graver test sets", Math. Prog. 96, 2002): the primitive
+# vectors of a lattice from any basis of it, against which the tests check
+# both Graver enumerations of codegb.graver.
+
+
+def _primitive_vectors(gens: Sequence[Sequence[int]], dim: int) -> list:
+    """One of each pair +-v of the primitive vectors of the lattice that gens
+    span over Z.
+
+    Completion: every generator, and every sum f + g of two elements found so
+    far, is reduced conformally by the elements found so far, and a nonzero
+    remainder becomes a new element.  When no sum is left, every lattice
+    vector is a conformal sum of elements (the positive sum property), so the
+    ⊑-minimal elements are the primitive vectors.  Sums are taken smallest
+    1-norm first (the normal strategy).  A sum f + g with f_i g_i >= 0 for
+    every i is skipped: f ⊑ f + g, and reducing by f leaves g, which reduces
+    to zero.  Elements are stored up to sign, so the pairs are the sums of f
+    with g and with -g.
+
+    The reduction is the normal form of a groebner._Packed, the one that
+    Buchberger's loop uses, in doubled variables x, y: u ⊑ v exactly when
+    x^(u+) y^(u-) divides x^(v+) y^(v-) (the Lawrence lifting; Sturmfels,
+    "Gröbner Bases and Convex Polytopes", 1996, Ch. 7).  So v is
+    x^(v+) y^(v-), each element u gives the rules x^(u+) y^(u-) -> 1 and
+    x^(u-) y^(u+) -> 1 (_add_rules), and the rule of +-u applies exactly
+    when +-u ⊑ v, leaving v -+ u.  The support mask of
+    x^(u+) y^(u-) marks the positive entries of u in its x half and the
+    negative ones in its y half, so f + g cancels somewhere exactly when the
+    masks of f and -g meet.  A sum with an entry past the fields' cap starts
+    the completion over on fields twice as wide.
+    """
+
+    def attempt(width: int) -> list:
+        found = _Packed(2 * dim, width)
+        masks = found.lead_sm  # of u and -u, at 2k and 2k + 1 for the k-th element u
+        vectors, pairs = [], []
+
+        def insert_remainder(v) -> None:
+            m = found.normalize(found.pack(_doubled(v)))
+            if not m:
+                return
+            r = found.unpack(m)
+            f = tuple(a - b for a, b in zip(r[:dim], r[dim:]))
+            k = len(vectors)
+            vectors.append(f)
+            _add_rules(found, f)
+            mask = masks[2 * k]
+            for j in range(k):
+                g = vectors[j]
+                if mask & masks[2 * j + 1]:  # f + g cancels somewhere
+                    heapq.heappush(pairs, (sum(abs(a + b) for a, b in zip(f, g)), k, j, 1))
+                if mask & masks[2 * j]:  # f - g cancels somewhere
+                    heapq.heappush(pairs, (sum(abs(a - b) for a, b in zip(f, g)), k, j, -1))
+
+        for g in gens:
+            insert_remainder(g)
+        while pairs:
+            _, k, j, sign = heapq.heappop(pairs)
+            insert_remainder([a + sign * b for a, b in zip(vectors[k], vectors[j])])
+
+        # an element is kept unless a kept one of smaller norm is conformal to it
+        minimal = _Packed(2 * dim, width)
+        kept = []
+        for v in sorted(vectors, key=lambda v: sum(map(abs, v))):
+            m = minimal.pack(_doubled(v))
+            if minimal.normalize(m) == m:
+                kept.append(v)
+                _add_rules(minimal, v)
+        return kept
+
+    # start with fields that hold the sum of two generators
+    bound = max((abs(e) for v in gens for e in v), default=1)
+    return _widening(attempt, (2 * bound).bit_length() + 1)
+
+
+def _doubled(v) -> list:
+    """The exponents of x^(v+) y^(v-), for the x variables followed by the y."""
+    return [e if e > 0 else 0 for e in v] + [-e if e < 0 else 0 for e in v]
+
+
+def _add_rules(pk: _Packed, u) -> None:
+    """The rules x^(u+) y^(u-) -> 1 and x^(u-) y^(u+) -> 1."""
+    pk.add(pk.pack(_doubled(u)), 0)
+    pk.add(pk.pack(_doubled([-e for e in u])), 0)
 
 
 def lattice_matrix(code, kind):
