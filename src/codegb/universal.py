@@ -59,6 +59,7 @@ both kinds; it carries no witnesses.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from .binomials import Binomial, BinomialSet, InvariantError
@@ -85,14 +86,6 @@ class UniversalBasis:
         return len(self.elements)
 
 
-def _dot(r, w):
-    acc = 0
-    for a, b in zip(r, w):
-        if a:
-            acc += a * b
-    return acc
-
-
 def cone_is_empty(rows: Sequence[Sequence[int]], hints: Iterable[Sequence] = ()):
     """(True, None) when the open cone {w >= 0 : r . w > 0 for every row r}
     is empty, else (False, witness).
@@ -111,7 +104,7 @@ def cone_is_empty(rows: Sequence[Sequence[int]], hints: Iterable[Sequence] = ())
     if any(len(r) != dim for r in rows):
         raise ValueError("cone rows differ in length")
     for w in hints:
-        if len(w) == dim and min(w, default=0) >= 0 and all(_dot(r, w) > 0 for r in rows):
+        if len(w) == dim and min(w, default=0) >= 0 and all(sum(map(mul, r, w)) > 0 for r in rows):
             return False, tuple(w)
     w = feasible_point(rows, dim)
     return w is None, w

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +140,16 @@ def test_ugb_text_output_drops_three_lines(capsys, f3_path):
         "x[1,1]^2*x[3,1] - 1",
     }
     assert set(out.splitlines()) == kept and len(out.splitlines()) == 10
+
+
+def test_ugb_text_output_of_p19n3_is_the_golden_listing(capsys, tmp_path):
+    # 19 of its cones reach the exact LP; CI diffs the installed console
+    # script's output against the same file
+    path = tmp_path / "p19n3.txt"
+    path.write_text("field p=19 r=1 modulus=0,1\nparity 1 7 3\n")
+    rc, out, err = run_cli(capsys, "ugb", str(path), "--no-cache")
+    assert (rc, err) == (0, "")
+    assert out == (Path(__file__).parent / "golden" / "ugb-p19n3.txt").read_text()
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -4,12 +4,67 @@ from math import gcd
 
 import pytest
 
+from codegb import universal
 from codegb.binomials import InvariantError
+from codegb.cli import parse_input
+from codegb.graver import graver_generalized, graver_ordinary
 from codegb.lp import feasible_point
+
+
+def dense_feasible_point(rows, dim):
+    """Oracle: the dense-tableau form of `feasible_point`, which pivots on
+    all d + 1 rows of the m + d + 2 columns of the D-scaled dual tableau.
+    The revised solver keeps only its slack block, so the two must take the
+    same pivots and return the same point or None."""
+    m, n = len(rows), dim
+    # row i < n: (A^T y)_i + s_i = 0; row n: 1^T y + s_n = 1; columns y, s, rhs
+    T = [[r[i] for r in rows] + [0] * (n + 2) for i in range(n)]
+    T.append([1] * m + [0] * (n + 1) + [1])
+    for i in range(n + 1):
+        T[i][m + i] = 1
+    basis = list(range(m, m + n + 1))
+    obj = [-1] * m + [0] * (n + 2)  # reduced costs; obj[-1] = 1^T y
+    D = 1
+    while True:
+        enter = next((j for j in range(m + n + 1) if obj[j] < 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        for i in range(n + 1):
+            a = T[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # T[i][-1] / a against T[leave][-1] / T[leave][enter]
+                c = T[i][-1] * T[leave][enter] - T[leave][-1] * a
+                if c < 0 or (c == 0 and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            raise InvariantError("lp", "dual objective unbounded despite 1^T y <= 1", enter)
+        prow = T[leave]
+        p = prow[enter]
+        for i in range(n + 1):
+            if i != leave:
+                f = T[i][enter]
+                if f:
+                    T[i] = [(p * v - f * w) // D for v, w in zip(T[i], prow)]
+                elif p != D:
+                    T[i] = [p * v // D for v in T[i]]
+        f = obj[enter]
+        obj = [(p * v - f * w) // D for v, w in zip(obj, prow)]
+        D = p
+        basis[leave] = enter
+    if obj[-1] == 0:
+        x = obj[m : m + n]
+        g = gcd(*x) or 1
+        return tuple(v // g for v in x)
+    return None
 
 
 def check(rows, dim):
     x = feasible_point(rows, dim)
+    assert x == dense_feasible_point(rows, dim), rows
     if x is not None:
         assert type(x) is tuple and len(x) == dim
         assert all(type(v) is int and v >= 0 for v in x)
@@ -137,6 +192,59 @@ def test_systems_built_around_a_farkas_vector_are_infeasible():
         assert check(rows, dim) is None
 
 
+def test_revised_solver_equals_the_dense_tableau_on_500_more_systems():
+    # check() compares every answer with the dense oracle.  Three families:
+    # random rows (mostly feasible), rows closed by a Farkas vector y > 0
+    # (infeasible), and degenerate rows: sparse, repeated, scaled and zero
+    # rows, so the ratio test ties and Bland's index tie-break decides
+    rng = random.Random(2310)
+    decided = {True: 0, False: 0}
+    for k in range(500):
+        dim = rng.randint(1, 7)
+        family = k % 3
+        if family == 0:
+            rows = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(rng.randint(1, 12))]
+        elif family == 1:
+            m = rng.randint(2, 12)
+            y = [rng.randint(1, 4) for _ in range(m)]
+            rows = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(m - 1)]
+            cols = [sum(r[i] * w for r, w in zip(rows, y)) for i in range(dim)]
+            rows = [tuple(r) for r in rows] + [tuple(-(c + rng.randint(0, 2) * y[-1]) // y[-1] for c in cols)]
+        else:
+            pool = [tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+            rows = [tuple(rng.randint(1, 3) * v for v in rng.choice(pool)) for _ in range(rng.randint(1, 14))]
+        x = check(rows, dim)
+        if family == 1:
+            assert x is None, rows
+        decided[x is not None] += 1
+    assert min(decided.values()) > 100
+
+
+SIEVE_CODES = {
+    "gf5-gen-1-2": ("field p=5 r=1 modulus=0,1\nparity 1 2\n", graver_generalized),
+    "p19n3": ("field p=19 r=1 modulus=0,1\nparity 1 7 3\n", graver_ordinary),
+    "p29n3": ("field p=29 r=1 modulus=0,1\nparity 1 7 12\n", graver_ordinary),
+}
+
+
+@pytest.mark.parametrize("name", list(SIEVE_CODES))
+def test_revised_solver_equals_the_dense_tableau_on_every_sieve_cone(name, monkeypatch):
+    # every cone the sieve builds, also those that a hint decides and that
+    # never reach the LP
+    doc, graver = SIEVE_CODES[name]
+    cone_rows, cones = universal.cone_rows, []
+
+    def recorded(g, basis):
+        cones.append(cone_rows(g, basis))
+        return cones[-1]
+
+    monkeypatch.setattr(universal, "cone_rows", recorded)
+    universal.universal_basis(graver(parse_input(doc).build_code()))
+    assert len(cones) > 20
+    for rows in cones:
+        assert feasible_point(rows, len(rows[0])) == dense_feasible_point(rows, len(rows[0])), rows
+
+
 def test_pivot_limit_is_a_typed_error(monkeypatch):
     monkeypatch.setattr("codegb.lp._MAX_PIVOTS", 0)
     with pytest.raises(InvariantError, match="lp: pivot limit"):
@@ -155,6 +263,12 @@ def test_a_point_is_checked_against_every_row(monkeypatch, g):
 def test_row_length_is_checked():
     with pytest.raises(ValueError):
         feasible_point([(1, 2, 3)], 2)
+
+
+@pytest.mark.parametrize("rows", [[], [()]], ids=["no-rows", "empty-row"])
+def test_a_negative_dim_is_rejected(rows):
+    with pytest.raises(ValueError, match="dim must be >= 0"):
+        feasible_point(rows, -1)
 
 
 @pytest.mark.parametrize(

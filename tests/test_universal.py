@@ -27,6 +27,7 @@ from codegb.universal import (
     prune_by_lemma,
     universal_basis,
 )
+from test_lp import dense_feasible_point
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +304,23 @@ def test_packed_lemma_and_cone_rows_agree_with_the_tuple_oracle(name, rep2, code
     assert u.witnesses == oracle_sieve(graver, monkeypatch).witnesses
     if sizes:
         assert (len(graver), len(u)) == sizes
+
+
+@pytest.mark.parametrize(
+    "field,tokens,kind,kept",
+    [((3, 1, (0, 1)), "1 2 1 1 2", GENERALIZED, 105), ((19, 1, (0, 1)), "1 7 3", ORDINARY, 28)],
+    ids=["tgen5", "p19n3"],
+)
+def test_sieve_witnesses_are_those_of_the_dense_tableau(field, tokens, kind, kept, monkeypatch):
+    # the revised simplex takes the dense tableau's pivots, so every witness
+    # the sieve records, and every hint it passes on, is the same
+    code = parity_code(*field, tokens)
+    graver = graver_generalized(code) if kind == GENERALIZED else graver_ordinary(code)
+    u = universal_basis(graver)
+    with monkeypatch.context() as m:
+        m.setattr("codegb.universal.feasible_point", dense_feasible_point)
+        dense = universal_basis(graver)
+    assert len(u) == kept and u.witnesses == dense.witnesses
 
 
 def test_packed_lemma_widens_for_a_large_exponent_off_the_basis(rep2):
