@@ -5,17 +5,19 @@ Input documents are line oriented: a `field` line, then one `parity` or
 written `0`, `a`, `a^K` (1 <= K <= q-1) or a plain integer m standing for
 m*1; in particular `1` is the multiplicative unit a^(q-1).
 
-Results are cached on disk keyed by a content hash of the job.  An entry holds
-the result as the text that `--format json` prints, next to the text's
-sha256, so a JSON hit writes the stored text and renders nothing: a body that
-passes its digest check is served as written, and the digest is what guards
-it.  A text hit renders the parsed result.  One entry serves both formats.
-An entry that is not a JSON object of the right schema and key, whose result
-text does not match its digest or is not a JSON object, whose `verify` result
-has no bool `agree`, or whose result does not render as text, is reported on
-stderr as corrupt and recomputed; one that cannot be read is reported as such
-and recomputed.  An entry written under an earlier CACHE_SCHEMA is a miss, as
-a missing one is: recomputed and overwritten without a report.
+Results are cached on disk keyed by a content hash of the job.  An entry is
+two parts: a first line holding the compact JSON header {"key", "schema",
+"sha256"}, and after it the exact bytes that `--format json` prints, which
+the sha256 is taken over.  So a JSON hit writes the stored text and renders
+nothing: a body that passes its digest check is served as written, and the
+digest is what guards it.  A text hit renders the parsed result.  One entry
+serves both formats.  An entry whose header is not a JSON object of the
+right schema and key, whose body is missing or does not match its digest,
+whose body is not the UTF-8 text of a JSON object, whose `verify` result
+has no bool `agree`, or whose result does not render as text, is reported
+on stderr as corrupt and recomputed; one that cannot be read is reported as
+such and recomputed.  An entry written under an earlier CACHE_SCHEMA is a
+miss, as a missing one is: recomputed and overwritten without a report.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .orders import degrevlex, lex
 from .toric import toric_ideal
 from .universal import universal_basis
 
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 
 class ParseError(ValueError):
@@ -368,8 +370,11 @@ def _cache_path(cache_dir: str, key_fields: dict) -> str:
 def _cache_read(path: str, key_fields: dict) -> Optional[tuple]:
     """The cached result at `path` and its stored text, or None: silently
     when there is no file or the entry has an earlier schema, with a report
-    when the entry cannot be read or is corrupt.  An entry holds the result
-    as the `--format json` text next to that text's sha256."""
+    when the entry cannot be read or is corrupt.  Only the header line is
+    parsed to check the schema, key and digest; the body is hashed as
+    stored, then parsed once, since a body that is no JSON object or, for
+    `verify`, has no bool `agree`, must not be served even under its
+    digest."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -378,8 +383,10 @@ def _cache_read(path: str, key_fields: dict) -> Optional[tuple]:
     except OSError as e:
         print(f"warning: could not read cache entry {path}: {e}", file=sys.stderr)
         return None
+    # json.dumps escapes every newline inside a string, so the first one ends the header
+    head, sep, body = data.partition(b"\n")
     try:
-        entry = json.loads(data)
+        entry = json.loads(head)
         if not isinstance(entry, dict):
             raise ValueError("not a JSON object")
         schema = entry.get("schema")
@@ -387,14 +394,15 @@ def _cache_read(path: str, key_fields: dict) -> Optional[tuple]:
             return None
         if schema != CACHE_SCHEMA or entry.get("key") != key_fields:
             raise ValueError("schema or key mismatch")
-        body = entry.get("result")
-        if not isinstance(body, str) or entry.get("sha256") != _sha256(body):
+        if not sep or entry.get("sha256") != hashlib.sha256(body).hexdigest():
             raise ValueError("result does not match its sha256")
-        result = json.loads(body)
+        text = body.decode("utf-8")
+        result = json.loads(text)
         if not isinstance(result, dict):
             raise ValueError("result is not a JSON object")
-        return result, body
-    except (ValueError, RecursionError) as e:  # json raises the latter on deep nesting
+        return result, text
+    # UnicodeDecodeError is a ValueError; json raises RecursionError on deep nesting
+    except (ValueError, RecursionError) as e:
         _warn_corrupt(path, e)
         return None
 
@@ -403,15 +411,20 @@ def _warn_corrupt(path: str, why) -> None:
     print(f"warning: ignoring corrupt cache entry {path}: {why}", file=sys.stderr)
 
 
-def _cache_write(path: str, key_fields: dict, body: str) -> None:
-    entry = {"schema": CACHE_SCHEMA, "key": key_fields, "result": body, "sha256": _sha256(body)}
+def _cache_write(path: str, key_fields: dict, text: str) -> None:
+    """Store `text`, the `--format json` output, at `path` after a header
+    line that holds the key, the schema and the sha256 of its UTF-8 bytes."""
+    body = text.encode("utf-8")
+    header = {"key": key_fields, "schema": CACHE_SCHEMA, "sha256": hashlib.sha256(body).hexdigest()}
     d = os.path.dirname(path)
     try:
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True))  # dump() encodes in Python, dumps() in C
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+                fh.write(b"\n")
+                fh.write(body)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

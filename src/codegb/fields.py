@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+# The largest field order q = p^r accepted: the log table has q - 1 entries,
+# and checking p for primality is trial division up to sqrt(p).
+FIELD_LIMIT = 2 ** 20
+
 
 class NonPrimeError(ValueError):
     """The requested characteristic is not a prime number."""
@@ -17,6 +21,10 @@ class NonPrimeError(ValueError):
 
 class NonPrimitiveModulusError(ValueError):
     """The modulus does not make alpha generate the multiplicative group."""
+
+
+class FieldTooLargeError(ValueError):
+    """The field order q = p^r exceeds FIELD_LIMIT."""
 
 
 class DependentBasisError(ValueError):
@@ -146,12 +154,20 @@ class FiniteField:
     """
 
     def __init__(self, p: int, r: int, modulus: Sequence[int], basis=None):
-        if not _is_prime(p):
-            raise NonPrimeError(f"p = {p} is not prime")
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != r + 1 or modulus[-1] != 1:
+        modulus = tuple(int(c) for c in modulus)
+        if len(modulus) != r + 1:
+            raise NonPrimitiveModulusError(
+                f"modulus must be monic of degree {r} over F_{p}, got {modulus}"
+            )
+        # with p >= 2, r past the limit's bit length already makes q too large
+        if p >= 2 and (r >= FIELD_LIMIT.bit_length() or p ** r > FIELD_LIMIT):
+            raise FieldTooLargeError(f"field order q = {p}^{r} exceeds {FIELD_LIMIT}")
+        if not _is_prime(p):
+            raise NonPrimeError(f"p = {p} is not prime")
+        modulus = tuple(c % p for c in modulus)
+        if modulus[-1] != 1:
             raise NonPrimitiveModulusError(
                 f"modulus must be monic of degree {r} over F_{p}, got {modulus}"
             )
@@ -244,8 +260,8 @@ class FiniteField:
 
     def from_int(self, m: int) -> FieldElement:
         """The prime-subfield element m*1."""
-        c = tuple((m % self.p) if i == 0 else 0 for i in range(self.r))
-        return self.from_poly_coords(c)
+        m %= self.p
+        return FieldElement(self, self._log[(m,) + (0,) * (self.r - 1)] if m else 0)
 
     def from_poly_coords(self, coords: Sequence[int]) -> FieldElement:
         c = tuple(int(v) % self.p for v in coords)

@@ -100,6 +100,25 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert rc == 2 and out == "" and "a^0" in err
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "field p=1000000000000000003 r=1 modulus=0,1",
+        # a modulus that is not primitive, met only after 2^24 table steps
+        "field p=2 r=24 modulus=1" + ",0" * 23 + ",1",
+    ],
+    ids=["prime-p", "GF2^24"],
+)
+def test_field_past_the_limit_exits_2_at_once(capsys, tmp_path, field):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(field + "\nparity 1\n")
+    t0 = time.monotonic()
+    rc, out, err = run_cli(capsys, "graver", str(doc), "--no-cache")
+    assert time.monotonic() - t0 < 1.0
+    assert (rc, out) == (2, "") and err.startswith("error: line 1: invalid field: ")
+    assert "exceeds 1048576" in err
+
+
 def test_unreadable_input_exits_2(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "graver", str(tmp_path / "nope.txt"), "--no-cache")
     assert rc == 2 and "cannot read input" in err
@@ -372,9 +391,12 @@ def test_cache_hit_reproduces_bytes(capsys, f3_path, tmp_path):
     rc2, second, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert rc2 == 0 and second == first and err == ""
     assert entries[0].read_bytes() == before
-    # one compact, key-sorted JSON document, as json.dumps writes it
-    entry = before.decode("utf-8")
-    assert entry == json.dumps(json.loads(entry), sort_keys=True)
+    # a compact, key-sorted JSON header line, then the json output
+    head, _, body = before.partition(b"\n")
+    assert head == compact_json(json.loads(head)).encode("utf-8")
+    assert sorted(json.loads(head)) == ["key", "schema", "sha256"]
+    _, uncached, _ = run_cli(capsys, "graver", f3_path, "--no-cache", "--format", "json")
+    assert body == uncached.encode("utf-8")
     # and json output of a generalized job with a basis, cold and cached
     f4 = tmp_path / "f4.txt"
     f4.write_text(F4_DOC)
@@ -397,8 +419,28 @@ def test_cache_key_ignores_format(capsys, f3_path, tmp_path):
     assert len(list(cache.glob("*.json"))) == 1
 
 
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def sha256_hex(text) -> str:
+    return hashlib.sha256(text.encode("utf-8") if isinstance(text, str) else text).hexdigest()
+
+
+def compact_json(x) -> str:
+    return json.dumps(x, sort_keys=True, separators=(",", ":"))
+
+
+def read_entry(path):
+    """The header of the cache entry file `path`, parsed, and its body, the
+    stored `--format json` text."""
+    head, sep, body = path.read_bytes().partition(b"\n")
+    assert sep == b"\n"
+    return json.loads(head), body.decode("utf-8")
+
+
+def write_entry(path, header, body):
+    """Write a cache entry laid out as the program lays it out: the header
+    as one compact JSON line, then `body` (text, or bytes as they are)."""
+    if isinstance(body, str):
+        body = body.encode("utf-8")
+    path.write_bytes(compact_json(header).encode("utf-8") + b"\n" + body)
 
 
 @pytest.mark.parametrize(
@@ -424,15 +466,20 @@ def test_cache_entry_stores_the_json_output(capsys, tmp_path, doc, command, kind
         assert run_cli(capsys, *argv, first) == uncached[first]
         entry = next(cache.glob("*.json"))
         written = entry.read_bytes()
-        assert json.loads(written)["result"] == uncached["json"][1]
+        header, body = read_entry(entry)
+        assert body == uncached["json"][1]
+        # the body is the json output's bytes, under their digest
+        assert written.partition(b"\n")[2] == uncached["json"][1].encode("utf-8")
+        assert header["sha256"] == sha256_hex(uncached["json"][1])
         assert run_cli(capsys, *argv, then) == uncached[then]
-        # an entry in the layout of schema 2, the result's compact JSON text
-        # under its digest, is a silent miss and is overwritten
-        body = json.dumps(json.loads(uncached["json"][1]), sort_keys=True)
-        old = {**json.loads(written), "schema": 2, "result": body, "sha256": sha256_hex(body)}
-        entry.write_text(json.dumps(old, sort_keys=True))
-        assert run_cli(capsys, *argv, then) == uncached[then]
-        assert entry.read_bytes() == written
+        # entries in the layouts of schemas 2 and 3, one JSON document that
+        # holds the result's compact or indented JSON text under its digest,
+        # are a silent miss and are overwritten
+        for schema, text in ((2, json.dumps(json.loads(body), sort_keys=True)), (3, body)):
+            old = {**header, "schema": schema, "result": text, "sha256": sha256_hex(text)}
+            entry.write_text(json.dumps(old, sort_keys=True))
+            assert run_cli(capsys, *argv, then) == uncached[then]
+            assert entry.read_bytes() == written
 
 
 def test_json_hit_is_the_stored_text_and_renders_nothing(capsys, f3_path, tmp_path, monkeypatch):
@@ -451,9 +498,9 @@ def test_json_hit_is_the_stored_text_and_renders_nothing(capsys, f3_path, tmp_pa
     assert (rc, err) == (0, "") and out.splitlines() == F3_GRAVER_LINES
     # the digest guards the stored text, which is served as written
     entry = next(cache.glob("*.json"))
-    payload = json.loads(entry.read_text())
-    body = json.dumps(json.loads(payload["result"])) + "\n"
-    entry.write_text(json.dumps({**payload, "result": body, "sha256": sha256_hex(body)}))
+    header, stored = read_entry(entry)
+    body = json.dumps(json.loads(stored)) + "\n"
+    write_entry(entry, {**header, "sha256": sha256_hex(body)}, body)
     assert run_cli(capsys, *argv) == (0, body, "")
 
 
@@ -474,9 +521,9 @@ def test_cached_verify_without_a_bool_agree_is_recomputed(capsys, f3_path, tmp_p
     argv = ["verify", f3_path, "--cache-dir", str(cache), "--format", fmt]
     first = run_cli(capsys, *argv)
     entry = next(cache.glob("*.json"))
-    payload = json.loads(entry.read_text())
-    body = indented_json(corrupt(json.loads(payload["result"])))
-    entry.write_text(json.dumps({**payload, "result": body, "sha256": sha256_hex(body)}))
+    header, stored = read_entry(entry)
+    body = indented_json(corrupt(json.loads(stored)))
+    write_entry(entry, {**header, "sha256": sha256_hex(body)}, body)
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out) == (0, first[1])
     assert "corrupt cache" in err and "verify result has no bool agree" in err
@@ -505,9 +552,8 @@ def test_order_is_an_rgb_option_only(capsys, f3_path, tmp_path, command):
 def corrupt_result(entry, corrupt):
     """Rewrite the result text stored in the cache entry file `entry` as
     corrupt(result), leaving the schema, key and digest as written."""
-    payload = json.loads(entry.read_text())
-    payload["result"] = json.dumps(corrupt(json.loads(payload["result"])), sort_keys=True)
-    entry.write_text(json.dumps(payload, sort_keys=True))
+    header, body = read_entry(entry)
+    write_entry(entry, header, json.dumps(corrupt(json.loads(body)), sort_keys=True))
 
 
 def test_corrupt_cache_is_reported_and_recomputed(capsys, f3_path, tmp_path):
@@ -519,18 +565,22 @@ def test_corrupt_cache_is_reported_and_recomputed(capsys, f3_path, tmp_path):
     assert rc == 0 and out == first
     assert "corrupt cache" in err
     # the entry was rewritten and is trusted again
-    json.loads(entry.read_text())
+    read_entry(entry)
     rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert rc == 0 and out == first and err == ""
 
 
-@pytest.mark.parametrize("part", ["entry", "result", "nested-entry"])
+@pytest.mark.parametrize("part", ["entry", "header", "result", "nested-entry"])
 def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, f3_path, tmp_path, part):
     cache = tmp_path / "cache"
     _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     entry = next(cache.glob("*.json"))
     if part == "entry":
         entry.write_text("[]")  # valid JSON, but no payload
+        why = "not a JSON object"
+    elif part == "header":
+        # a header line that is a JSON array, before the body as written
+        entry.write_bytes(b"[]\n" + entry.read_bytes().partition(b"\n")[2])
         why = "not a JSON object"
     elif part == "nested-entry":
         entry.write_text("[" * 100_000 + "]" * 100_000)  # valid JSON, too deep to decode
@@ -541,7 +591,7 @@ def test_cache_entry_that_is_not_an_object_is_recomputed(capsys, f3_path, tmp_pa
     rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert rc == 0 and out == first
     assert "corrupt cache" in err and why in err
-    assert isinstance(json.loads(json.loads(entry.read_text())["result"]), dict)
+    assert isinstance(json.loads(read_entry(entry)[1]), dict)
 
 
 @pytest.mark.parametrize(
@@ -558,12 +608,12 @@ def test_cache_result_that_is_no_payload_is_recomputed(capsys, f3_path, tmp_path
     cache = tmp_path / "cache"
     _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     entry = next(cache.glob("*.json"))
-    written = json.loads(entry.read_text())["result"]
+    written = read_entry(entry)[1]
     corrupt_result(entry, corrupt)  # schema, key and digest as written
     rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert rc == 0 and out == first
     assert "corrupt cache" in err and "does not match its sha256" in err
-    assert json.loads(entry.read_text())["result"] == written
+    assert read_entry(entry)[1] == written
 
 
 def first_side_cut_short(result):
@@ -664,9 +714,9 @@ def test_mismatched_cache_key_is_rejected(capsys, f3_path, tmp_path):
     cache = tmp_path / "cache"
     run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     entry = next(cache.glob("*.json"))
-    payload = json.loads(entry.read_text())
-    payload["key"]["order"] = "lex"
-    entry.write_text(json.dumps(payload))
+    header, body = read_entry(entry)
+    header["key"]["order"] = "lex"
+    write_entry(entry, header, body)
     rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     assert rc == 0 and "corrupt cache" in err
     assert out.splitlines() == F3_GRAVER_LINES
@@ -682,10 +732,8 @@ def test_cache_result_that_is_no_object_under_its_digest_is_recomputed(
     argv = [command, f3_path, "--cache-dir", str(cache), "--format", "json"]
     _, first, _ = run_cli(capsys, *argv)
     entry = next(cache.glob("*.json"))
-    payload = json.loads(entry.read_text())
-    payload["result"] = "[]"
-    payload["sha256"] = sha256_hex("[]")
-    entry.write_text(json.dumps(payload, sort_keys=True))
+    header, _ = read_entry(entry)
+    write_entry(entry, {**header, "sha256": sha256_hex("[]")}, "[]")
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0 and out == first
     assert "corrupt cache" in err and "result is not a JSON object" in err
@@ -694,23 +742,80 @@ def test_cache_result_that_is_no_object_under_its_digest_is_recomputed(
 
 
 def test_cache_entry_of_an_earlier_schema_is_a_silent_miss(capsys, f3_path, tmp_path):
-    # an entry as schema 1 wrote it: the result object itself, no digest
     cache = tmp_path / "cache"
     _, first, _ = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
     entry = next(cache.glob("*.json"))
     written = entry.read_bytes()
-    payload = json.loads(written)
-    old = {"schema": 1, "key": payload["key"], "result": json.loads(payload["result"])}
-    entry.write_text(json.dumps(old, sort_keys=True))
-    rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
-    assert (rc, out, err) == (0, first, "")
-    assert entry.read_bytes() == written  # overwritten as a missing entry is
+    header, body = read_entry(entry)
+    olds = [
+        # as schema 1 wrote it: the result object itself, no digest
+        {"schema": 1, "key": header["key"], "result": json.loads(body)},
+        # as schema 3 wrote it: one JSON line holding the json output under its digest
+        {"schema": 3, "key": header["key"], "result": body, "sha256": sha256_hex(body)},
+    ]
+    for old in olds:
+        entry.write_text(json.dumps(old, sort_keys=True))
+        assert len(entry.read_text().splitlines()) == 1
+        rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
+        assert (rc, out, err) == (0, first, "")
+        assert entry.read_bytes() == written  # overwritten as a missing entry is
     # a later or malformed schema is no earlier one, and is reported
     for schema in (CACHE_SCHEMA + 1, "1", None):
-        entry.write_text(json.dumps({**payload, "schema": schema}, sort_keys=True))
+        write_entry(entry, {**header, "schema": schema}, body)
         rc, out, err = run_cli(capsys, "graver", f3_path, "--cache-dir", str(cache))
         assert rc == 0 and out == first
         assert "corrupt cache" in err and "schema or key mismatch" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("digest", ["as-written", "of-nothing"])
+def test_cache_header_without_a_newline_is_corrupt(capsys, f3_path, tmp_path, digest, fmt):
+    # the header line alone, with the body's digest or that of an empty body
+    cache = tmp_path / "cache"
+    argv = ["graver", f3_path, "--cache-dir", str(cache), "--format", fmt]
+    first = run_cli(capsys, *argv)
+    entry = next(cache.glob("*.json"))
+    header, _ = read_entry(entry)
+    if digest == "of-nothing":
+        header["sha256"] = sha256_hex(b"")
+    entry.write_text(compact_json(header))
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (0, first[1])
+    assert "corrupt cache" in err and "does not match its sha256" in err
+    assert run_cli(capsys, *argv) == first
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cache_body_that_is_not_utf8_under_its_digest_is_corrupt(capsys, f3_path, tmp_path, fmt):
+    cache = tmp_path / "cache"
+    argv = ["graver", f3_path, "--cache-dir", str(cache), "--format", fmt]
+    first = run_cli(capsys, *argv)
+    entry = next(cache.glob("*.json"))
+    header, body = read_entry(entry)
+    bad = body.encode("utf-8").replace(b'"graver"', b'"grav\xffer"')
+    write_entry(entry, {**header, "sha256": sha256_hex(bad)}, bad)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (0, first[1])
+    assert "corrupt cache" in err and "utf-8" in err and "0xff" in err
+    assert read_entry(entry)[1] == body
+    assert run_cli(capsys, *argv) == first
+
+
+def test_json_hit_parses_the_header_and_the_body_once_each(capsys, f3_path, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ["graver", f3_path, "--cache-dir", str(cache), "--format", "json"]
+    cold = run_cli(capsys, *argv)
+    head, _, body = next(cache.glob("*.json")).read_bytes().partition(b"\n")
+    calls = []
+    loads = json.loads
+
+    def counted(s, *args, **kwargs):
+        calls.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert run_cli(capsys, *argv) == cold
+    assert calls == [head, body.decode("utf-8")]
 
 
 def test_no_cache_leaves_no_files(capsys, f3_path, tmp_path):

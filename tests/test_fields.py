@@ -1,9 +1,13 @@
 """GF(p^r) arithmetic, projections and the crossing maps."""
 
+import time
+
 import pytest
 
 from codegb.fields import (
+    FIELD_LIMIT,
     DependentBasisError,
+    FieldTooLargeError,
     FiniteField,
     NonPrimeError,
     NonPrimitiveModulusError,
@@ -23,6 +27,19 @@ def test_from_int_builds_the_prime_subfield(ff3):
     assert ff3.from_int(1) == ff3.one()
     assert ff3.from_int(2) + ff3.from_int(1) == ff3.zero()
     assert ff3.from_int(-1) == ff3.from_int(2)
+
+
+@pytest.mark.parametrize(
+    "p,r,modulus",
+    [(2, 1, (0, 1)), (3, 1, (0, 1)), (2, 2, (1, 1, 1)), (3, 2, (2, 1, 1)), (29, 1, (0, 1)), (1009, 1, (0, 1))],
+    ids=["GF2", "GF3", "GF4", "GF9", "GF29", "GF1009"],
+)
+def test_from_int_is_m_times_one(p, r, modulus):
+    ff = FiniteField(p, r, modulus)
+    for m in range(-2 * p, 2 * p + 1):
+        # the polynomial coordinates (m mod p, 0, ..., 0)
+        expected = ff.from_poly_coords(tuple((m % p) if i == 0 else 0 for i in range(r)))
+        assert ff.from_int(m) == expected and ff.from_int(m).k == expected.k
 
 
 # Table of pi_1 and pi_2 over GF(9) with basis {1, a}, indexed by a^1 .. a^8.
@@ -92,6 +109,34 @@ def test_pow_and_inverse(ff4):
 def test_nonprime_characteristic_rejected():
     with pytest.raises(NonPrimeError):
         FiniteField(4, 1, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "p,r",
+    [
+        (10 ** 18 + 3, 1),  # prime: trial division alone would take hours
+        (2, 24),
+        (1031, 2),  # 1031^2 = 1062961, just past 2^20
+        (1048583, 1),  # the least prime past 2^20
+        (10 ** 18, 1),  # too large is found before not prime
+    ],
+)
+def test_field_past_the_limit_is_refused_at_once(p, r):
+    t0 = time.monotonic()
+    with pytest.raises(FieldTooLargeError) as ei:
+        FiniteField(p, r, (1,) + (0,) * (r - 1) + (1,))
+    assert time.monotonic() - t0 < 1.0
+    assert f"{p}^{r}" in str(ei.value) and str(FIELD_LIMIT) in str(ei.value)
+    assert isinstance(ei.value, ValueError)
+
+
+def test_field_limit_leaves_the_other_checks_in_place():
+    # the modulus length is checked first, and p is still checked for primality
+    with pytest.raises(NonPrimitiveModulusError):
+        FiniteField(10 ** 18 + 3, 2, (0, 1))
+    with pytest.raises(NonPrimeError):
+        FiniteField(1000, 2, (1, 0, 1))
+    assert FiniteField(1009, 1, (0, 1)).q == 1009
 
 
 def test_reducible_modulus_rejected():
