@@ -19,7 +19,13 @@ form splits into blocks over disjoint variables each block is walked alone.
 The basis keeps each block's table of standard monomials, so `reduce` finds
 the normal form of x^u, the standard monomial of u's class, by computing the
 class key of u and looking it up (Groebner decoding by coset leaders), at a
-cost that does not depend on the number of basis elements.
+cost that does not depend on the number of basis elements.  Two facts make
+that one key per block for each side that is not 1, and no order key when a
+side's normal form is 1.  Every generator vanishes at the all-ones point, so
+the ideal is proper and 1 is standard: the walk's table maps the origin to
+1, and the walk checks that it finds one standard monomial per class.  And
+1 is the least monomial under every term order (acceptance criterion 10
+checks it on random orders), so a side that is 1 trails.
 
 Otherwise (toric and Lawrence ideals, saturation) Buchberger's algorithm
 runs.  Reducing a difference of monomials by differences of monomials again
@@ -171,14 +177,20 @@ def _widening(attempt, width: int = 8):
 
 
 def reduce(binom: Binomial, basis: GroebnerBasis) -> Optional[Binomial]:
-    """Normal form of a binomial; None when both sides collapse together."""
+    """Normal form of a binomial; None when both sides collapse together.
+
+    1 is the least monomial under every term order (acceptance criterion 10
+    checks it on random orders), so when one side's normal form is 1 the
+    other side leads, and only two sides that are both not 1 compare their
+    order keys.  On a walked basis each side costs one class key per block
+    (`_standard`), and a side that is 1 costs none."""
     dim = basis.space.dim
     if len(binom.lhs) != dim:
         raise DimensionMismatchError(
             f"binomial of length {len(binom.lhs)} reduced by a basis in {dim} variables"
         )
     if basis._tables is not None:
-        lhs, rhs = _standard(binom.lhs, basis._tables, dim), _standard(binom.rhs, basis._tables, dim)
+        lhs, rhs = _standard(binom.lhs, basis._tables), _standard(binom.rhs, basis._tables)
     else:
 
         def sides(width):
@@ -190,23 +202,28 @@ def reduce(binom: Binomial, basis: GroebnerBasis) -> Optional[Binomial]:
         lhs, rhs = _widening(sides, basis._packed.width if basis._packed else 8)
     if lhs == rhs:
         return None
-    if basis.order.key(lhs) < basis.order.key(rhs):
+    if not any(lhs) or (any(rhs) and basis.order.key(lhs) < basis.order.key(rhs)):
         lhs, rhs = rhs, lhs
     return Binomial(lhs, rhs)
 
 
-def _standard(u, tables, dim: int) -> tuple:
-    """The standard monomial of the class of x^u: each block's, looked up by
-    the block's class key, on the block's variables."""
-    out = [0] * dim
+def _standard(u, tables) -> tuple:
+    """The standard monomial of the class of x^u: the sum of each block's,
+    looked up by the block's class key, and so a block's own when there is
+    one block.  Every generator vanishes at the all-ones point, so the ideal
+    is proper and 1 is standard: the walk's table maps the origin to 1, and
+    the walk checks that it finds one standard monomial per class.  So x^0
+    is its own normal form and needs no key."""
+    if not any(u):
+        return u
+    found = []
     for classes, std in tables:
         key = classes.key(u)
         s = std.get(key)
         if s is None:
             raise InvariantError("class lookup", "class key has no standard monomial", key)
-        for j in classes.cols:
-            out[j] = s[j]
-    return tuple(out)
+        found.append(s)
+    return found[0] if len(found) == 1 else tuple(map(sum, zip(*found)))
 
 
 def buchberger(gens: BinomialSet, order: MonomialOrder) -> GroebnerBasis:
@@ -304,13 +321,12 @@ class _Classes:
                 if q:
                     r = [x - q * y for x, y in zip(r, H[k])]
             self.images[j] = tuple(r[f] for f in free)
-        # entry t of the key of x_j, along `cols`
-        self.columns = list(zip(*(self.images[j] for j in cols)))
+        # entry t of the key of x_j, for every variable j: 0 off the block
+        self.columns = list(zip(*(self.images.get(j, self.origin) for j in range(len(H)))))
 
     def key(self, u) -> tuple:
         """The key of x^u: the sum of the keys of its variables, reduced."""
-        e = [u[j] for j in self.cols]
-        return self._reduced([sum(map(operator.mul, c, e)) for c in self.columns], 0)
+        return self._reduced([sum(map(operator.mul, c, u)) for c in self.columns], 0)
 
     def step(self, key: tuple, j: int) -> tuple:
         """The key of x^u * x_j from the key of x^u: add the key of x_j and

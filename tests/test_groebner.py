@@ -17,6 +17,7 @@ from codegb.binomials import (
     BinomialSet,
     Block,
     DimensionMismatchError,
+    InvariantError,
     VariableSpace,
     build_generalized_generators,
     build_ordinary_generators,
@@ -92,6 +93,8 @@ def test_reduce_takes_one_path_per_basis(monkeypatch):
     looped = buchberger(bset(2, [((1, 0), (0, 1))]), degrevlex(2))
     assert walked._tables is not None and looped._tables is None
     assert reduce(Binomial((1, 1), (0, 0)), looped) == Binomial((0, 2), (0, 0))
+    # 1 is the least monomial, so a side that is 1 trails on either route
+    assert reduce(Binomial((0, 0), (1, 1)), looped) == Binomial((0, 2), (0, 0))
     assert looped._packed is not None
 
     def no_packing(*args):
@@ -101,7 +104,22 @@ def test_reduce_takes_one_path_per_basis(monkeypatch):
     # x0^5 * x1^7 is x0 * x1 modulo x0^2 - 1 and x1^3 - 1
     assert reduce(Binomial((5, 7), (0, 0)), walked) == Binomial((1, 1), (0, 0))
     assert reduce(Binomial((2, 3), (0, 0)), walked) is None
+    # x0^2 * x1^3 falls to 1, so the sides swap
+    assert reduce(Binomial((2, 3), (1, 0)), walked) == Binomial((1, 0), (0, 0))
+    assert reduce(Binomial((0, 0), (5, 7)), walked) == Binomial((1, 1), (0, 0))
     assert walked._packed is None
+
+
+def test_reduce_raises_on_a_class_missing_from_the_table():
+    # two blocks, x0 and x1; the class of x1 loses its standard monomial
+    gb = buchberger(bset(2, [((2, 0), (0, 0)), ((0, 3), (0, 0))]), degrevlex(2))
+    classes, std = gb._tables[1]
+    del std[classes.key((0, 1))]
+    assert reduce(Binomial((3, 0), (0, 0)), gb) == Binomial((1, 0), (0, 0))
+    for b in (Binomial((0, 4), (0, 0)), Binomial((0, 0), (1, 1))):
+        with pytest.raises(InvariantError, match="class key has no standard monomial") as e:
+            reduce(b, gb)
+        assert e.value.stage == "class lookup"
 
 
 @pytest.mark.parametrize(
@@ -393,12 +411,14 @@ def assert_tables_give_the_packed_normal_forms(gb, pairs):
 
 def random_pairs(rng, dim, top, count):
     """`count` pairs of distinct exponent vectors with entries below `top`,
-    the second side 0 half the time."""
+    the first side 0 a quarter of the time and the second side 0 half the
+    time (never both)."""
     zero = (0,) * dim
     pairs = []
     while len(pairs) < count:
-        u = tuple(rng.randrange(top) for _ in range(dim))
-        v = zero if rng.random() < 0.5 else tuple(rng.randrange(top) for _ in range(dim))
+        r = rng.random()
+        u = zero if r < 0.25 else tuple(rng.randrange(top) for _ in range(dim))
+        v = zero if r >= 0.5 else tuple(rng.randrange(top) for _ in range(dim))
         if u != v:
             pairs.append((u, v))
     return pairs
@@ -460,9 +480,9 @@ def test_golay23_decodes_to_coset_leaders():
     # coset holds one word of weight <= 3, and degrevlex makes it the
     # standard monomial.  So the normal form of a random word has weight
     # <= 3 and differs from it by a codeword, and a word of weight <= 3 is
-    # its own normal form.  The packed normal form took about 3 ms a word on
-    # the 8878-element basis; the class lookup about 0.06 ms on a 2-core x86
-    # VM (budget: 1 ms)
+    # its own normal form.  The packed normal form takes about 1.2 ms a word
+    # on the 8878-element basis; the class lookup about 0.015 ms on a 2-core
+    # x86 VM (budget: 1 ms)
     ff = FiniteField(2, 1, (0, 1))
     rows = [[0] * i + GOLAY23_POLY + [0] * (11 - i) for i in range(12)]
     code = LinearCode.from_generator(ff, [[ff.from_int(e) for e in row] for row in rows])
@@ -488,22 +508,23 @@ def test_golay23_decodes_to_coset_leaders():
     assert gb._packed is None
 
 
-def walk_failure_under_python_O(patch):
-    """The stage and message of the InvariantError that buchberger raises
-    under python -O on the ternary [3,2] code ideal after `patch` runs."""
+def failure_under_python_O(patch, call="groebner.buchberger(gens, degrevlex(3))"):
+    """The stage and message of the InvariantError that `call` raises under
+    python -O on the ternary [3,2] code ideal `gens` after `patch` runs."""
     script = "\n".join([
         "import heapq",
         "import types",
         "import codegb.groebner as groebner",
         "from codegb import FiniteField, InvariantError, LinearCode",
-        "from codegb.binomials import build_ordinary_generators",
+        "from codegb.binomials import Binomial, build_ordinary_generators",
         "from codegb.orders import degrevlex",
         "assert False, 'python -O strips this'",
         patch,
         "ff = FiniteField(3, 1, (0, 1))",
         "code = LinearCode.from_parity(ff, [[ff.from_int(e) for e in (1, 2, 1)]])",
+        "gens = build_ordinary_generators(code)",
         "try:",
-        "    groebner.buchberger(build_ordinary_generators(code), degrevlex(3))",
+        f"    {call}",
         "except InvariantError as e:",
         "    print(e.stage)",
         "    print(e)",
@@ -533,6 +554,20 @@ def walk_failure_under_python_O(patch):
     ids=["count", "trail"],
 )
 def test_walk_invariants_still_fire_under_python_O(patch, problem):
-    stage, message = walk_failure_under_python_O(patch)
+    stage, message = failure_under_python_O(patch)
     assert stage == "standard-monomial walk"
     assert message.startswith(f"{stage}: {problem}")
+
+
+def test_class_lookup_invariant_still_fires_under_python_O():
+    # the walked basis loses the class of x0, whose normal form is then unknown
+    patch = "\n".join([
+        "def lose_a_class(gb):",
+        "    classes, std = gb._tables[0]",
+        "    del std[classes.key((1, 0, 0))]",
+        "    return gb",
+    ])
+    call = "groebner.reduce(Binomial((1, 0, 0), (0, 0, 0)), lose_a_class(groebner.buchberger(gens, degrevlex(3))))"
+    stage, message = failure_under_python_O(patch, call)
+    assert stage == "class lookup"
+    assert message.startswith(f"{stage}: class key has no standard monomial")
