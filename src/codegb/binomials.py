@@ -16,10 +16,6 @@ from .fields import FiniteField
 ORDINARY = "ordinary"
 GENERALIZED = "generalized"
 
-LHS = "LHS"
-RHS = "RHS"
-BOTH = "BOTH"
-
 
 class DimensionMismatchError(ValueError):
     """Exponent vector length disagrees with the variable space."""
@@ -48,7 +44,7 @@ class Block:
         if isinstance(shape, int):
             shape = (shape,)
         self.shape = tuple(int(d) for d in shape)
-        if not self.shape or any(d < 0 for d in self.shape):
+        if not 1 <= len(self.shape) <= 2 or any(d < 0 for d in self.shape):
             raise ValueError(f"bad block shape {shape}")
 
     @property
@@ -107,21 +103,6 @@ class VariableSpace:
     def block_range(self, name: str) -> range:
         off = self._offsets[name]
         return range(off, off + self.block(name).size)
-
-    def index(self, name: str, *ids: int) -> int:
-        """Flat index of a variable from its 1-based block coordinates."""
-        b = self.block(name)
-        if len(ids) != len(b.shape):
-            raise IndexError(f"block {name} takes {len(b.shape)} indices")
-        flat = 0
-        for d, i in zip(b.shape, ids):
-            if not 1 <= i <= d:
-                raise IndexError(f"index {i} outside 1..{d} in block {name}")
-            flat = flat * d + (i - 1)
-        return self._offsets[name] + flat
-
-    def var_name(self, i: int) -> str:
-        return self._names[i]
 
     def names(self) -> tuple:
         return self._names
@@ -197,14 +178,6 @@ class Binomial:
         """True when the two monomials share no variable."""
         return all(a == 0 or b == 0 for a, b in zip(self.lhs, self.rhs))
 
-    def purified(self) -> "Binomial":
-        """Divide out the monomial gcd of the two sides."""
-        g = tuple(min(a, b) for a, b in zip(self.lhs, self.rhs))
-        return Binomial(
-            tuple(a - c for a, c in zip(self.lhs, g)),
-            tuple(b - c for b, c in zip(self.rhs, g)),
-        )
-
     def swapped(self) -> "Binomial":
         return Binomial(self.rhs, self.lhs)
 
@@ -223,17 +196,6 @@ def split_pos_neg(v: Sequence[int]):
     pos = tuple(e if e > 0 else 0 for e in v)
     neg = tuple(-e if e < 0 else 0 for e in v)
     return pos, neg
-
-
-def initial_form(omega: Sequence, binom: Binomial) -> str:
-    """Which side a nonnegative weight vector picks: LHS, RHS or BOTH on a tie."""
-    a = sum(w * e for w, e in zip(omega, binom.lhs))
-    b = sum(w * e for w, e in zip(omega, binom.rhs))
-    if a > b:
-        return LHS
-    if b > a:
-        return RHS
-    return BOTH
 
 
 class BinomialSet:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 from .fields import FiniteField
 
 
@@ -31,10 +29,6 @@ def _rref(ff: FiniteField, rows):
         if rr == len(rows):
             break
     return rows[:rr], pivots
-
-
-def rank(ff: FiniteField, rows) -> int:
-    return len(_rref(ff, rows)[1])
 
 
 def nullspace(ff: FiniteField, red, pivots, n: int) -> tuple:
@@ -116,16 +110,6 @@ class LinearCode:
 
     def generator_rows(self):
         return self.G
-
-    def codewords(self):
-        """All q^k codewords, enumerated from G."""
-        ff = self.ff
-        for coeffs in product(ff.elements(), repeat=self.k):
-            w = [ff.zero()] * self.n
-            for c, row in zip(coeffs, self.G):
-                if c:
-                    w = [acc + c * v for acc, v in zip(w, row)]
-            yield tuple(w)
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k}, q={self.ff.q})"

@@ -289,12 +289,6 @@ class FiniteField:
         p = self.p
         return tuple(sum(row[j] * v[j] for j in range(self.r)) % p for row in self._basis_inv)
 
-    def projection(self, a: FieldElement, i: int) -> int:
-        """The i-th canonical coordinate (1-based)."""
-        if not 1 <= i <= self.r:
-            raise IndexError(f"projection index {i} outside 1..{self.r}")
-        return self.coords(a)[i - 1]
-
     # -- crossing maps ---------------------------------------------------------
 
     def cross_up(self, word: Sequence[FieldElement]) -> tuple:
@@ -308,11 +302,6 @@ class FiniteField:
                 block[w.k - 1] = 1
             out.extend(block)
         return tuple(out)
-
-    def cross_down(self, vec: Sequence[int]) -> tuple:
-        """Map an integer vector of length n(q-1) to the word with positions
-        sum_i v_{j,i} * alpha^i; entries may be negative, sums wrap mod p."""
-        return self.combine(vec, [FieldElement(self, k) for k in range(1, self.q)])
 
     def combine(self, vec: Sequence[int], elements: Sequence[FieldElement]) -> tuple:
         """The word whose position j is sum_t v_{j,t} * elements[t], reading vec

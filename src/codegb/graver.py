@@ -122,7 +122,11 @@ oracle of both enumerations.
 The paper's route, the toric ideal of the p-Lawrence lifting over the doubled
 x/y space with y set to 1 at the end, is kept as `graver_lawrence`, and an
 exhaustive search over bounded difference vectors as `graver_bruteforce`;
-both serve as independent cross-checks.
+both serve as independent cross-checks.  No command runs `graver_lawrence`;
+it stays on purpose, as the paper's own algorithm, and because the traced
+benchmark (`perfbench/spans.py`) wraps `lawrence_lift`, `toric_ideal`,
+`substitute_ones` and `buchberger` in this module's namespace, where only
+this route uses them, and fails on a missing name.
 """
 
 from __future__ import annotations

@@ -18,13 +18,6 @@ class MonomialOrder:
     def key(self, u: Sequence[int]):
         raise NotImplementedError
 
-    def compare(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """-1, 0 or 1 as x^u <, =, > x^v."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError(f"exponent vectors must have length {self.dim}")
-        a, b = self.key(u), self.key(v)
-        return (a > b) - (a < b)
-
 
 def _check_precedence(dim: int, precedence) -> tuple:
     if precedence is None:

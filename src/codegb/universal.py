@@ -62,7 +62,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, Sequence
 
-from .binomials import Binomial, BinomialSet, InvariantError
+from .binomials import Binomial, BinomialSet, DimensionMismatchError, InvariantError
 from .graver import GraverBasis
 from .groebner import _Packed, _widening
 from .lp import feasible_point
@@ -114,7 +114,13 @@ def _packed(g: Binomial, graver: GraverBasis):
     """(_Packed, entries, u, u') at the narrowest width that holds the Graver
     basis and g, with u, u' the packed sides of g and one entry (lhs, rhs,
     lcm, rhs - lhs, lhs - rhs) per element, its monomials packed.  The
-    entries are cached on the basis and packed again only to widen."""
+    entries are cached on the basis and packed again only to widen.  A g
+    outside the basis's space raises DimensionMismatchError, as in `reduce`."""
+    dim = graver.elements.space.dim
+    if len(g.lhs) != dim:
+        raise DimensionMismatchError(
+            f"binomial of length {len(g.lhs)} against a Graver basis in {dim} variables"
+        )
 
     def attempt(width):
         cached = graver._packed

@@ -1,7 +1,36 @@
+from itertools import product
+
 import pytest
 
-from codegb.codes import LinearCode
+from codegb.codes import LinearCode, _rref
 from codegb.fields import FiniteField
+
+
+# Helpers the test modules import from here: two oracles, the rank of a list
+# of rows and the listing of every codeword, and the three-way comparison of
+# two monomials by an order's keys.
+
+
+def rank(ff, rows) -> int:
+    """Rank over GF(q) of a list of rows: its pivots under the code's own elimination."""
+    return len(_rref(ff, rows)[1])
+
+
+def codewords(code):
+    """All q^k codewords of a code, enumerated from its generator rows."""
+    ff = code.ff
+    for coeffs in product(ff.elements(), repeat=code.k):
+        w = [ff.zero()] * code.n
+        for c, row in zip(coeffs, code.G):
+            if c:
+                w = [acc + c * v for acc, v in zip(w, row)]
+        yield tuple(w)
+
+
+def compare(order, u, v) -> int:
+    """-1, 0 or 1 as x^u <, =, > x^v under a monomial order, by its keys."""
+    a, b = order.key(u), order.key(v)
+    return (a > b) - (a < b)
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from codegb.binomials import (
     VariableSpace,
     build_generalized_generators,
     build_ordinary_generators,
+    slot_elements,
     split_pos_neg,
     substitute_ones,
 )
@@ -42,6 +43,7 @@ from codegb.universal import (
     cone_sieve,
     universal_basis,
 )
+from conftest import codewords, compare
 
 
 @contextmanager
@@ -264,14 +266,14 @@ def test_criterion_05_matrix_goldens(acceptance, code_f3, code_f4, code_f9, ff9)
         ]
         for k, expected in GF9_PROJECTIONS.items():
             el = ff9.from_power(k)
-            assert (ff9.projection(el, 1), ff9.projection(el, 2)) == expected
+            assert ff9.coords(el) == expected
 
 
 # ------------------------------------------------------------- criteria 6 & 7
 
 
 def _codeword_key(code):
-    return frozenset(tuple(e.k for e in w) for w in code.codewords())
+    return frozenset(tuple(e.k for e in w) for w in codewords(code))
 
 
 def all_linear_codes(ff, n):
@@ -467,19 +469,19 @@ def test_criterion_10_randomized_properties(acceptance, ff4, ff9):
             order = _random_order(rng, dim)
             u, v, t = (tuple(rng.randrange(0, 6) for _ in range(dim)) for _ in range(3))
             zero = (0,) * dim
-            cuv = order.compare(u, v)
+            cuv = compare(order, u, v)
             assert cuv in (-1, 0, 1)
-            assert order.compare(u, u) == 0
+            assert compare(order, u, u) == 0
             assert (cuv == 0) == (u == v)  # totality
-            assert order.compare(v, u) == -cuv  # antisymmetry
-            shifted = order.compare(
-                tuple(a + b for a, b in zip(u, t)), tuple(a + b for a, b in zip(v, t))
+            assert compare(order, v, u) == -cuv  # antisymmetry
+            shifted = compare(
+                order, tuple(a + b for a, b in zip(u, t)), tuple(a + b for a, b in zip(v, t))
             )
             assert shifted == cuv  # multiplicativity
             if u != zero:
-                assert order.compare(u, zero) == 1  # 1 is the global minimum
-            if cuv >= 0 and order.compare(v, t) >= 0:
-                assert order.compare(u, t) >= 0  # transitivity
+                assert compare(order, u, zero) == 1  # 1 is the global minimum
+            if cuv >= 0 and compare(order, v, t) >= 0:
+                assert compare(order, u, t) >= 0  # transitivity
 
         for _ in range(1000):
             n = rng.randrange(1, 8)
@@ -493,7 +495,7 @@ def test_criterion_10_randomized_properties(acceptance, ff4, ff9):
             els = ff.elements()
             for _ in range(500):
                 word = tuple(rng.choice(els) for _ in range(rng.randrange(1, 5)))
-                back = ff.cross_down(ff.cross_up(word))
+                back = ff.combine(ff.cross_up(word), slot_elements(ff, GENERALIZED))
                 assert tuple(e.k for e in back) == tuple(e.k for e in word)
 
         for _ in range(1000):

@@ -5,11 +5,8 @@ from fractions import Fraction
 import pytest
 
 from codegb.binomials import (
-    BOTH,
     GENERALIZED,
-    LHS,
     ORDINARY,
-    RHS,
     Binomial,
     BinomialSet,
     Block,
@@ -18,7 +15,6 @@ from codegb.binomials import (
     build_ordinary_generators,
     field_relations_Iq,
     generalized_space,
-    initial_form,
     ordinary_space,
     slot_elements,
     split_pos_neg,
@@ -31,12 +27,20 @@ from codegb.orders import degrevlex, lex
 def test_variable_space_indexing():
     sp = VariableSpace(Block("x", (2, 3)), Block("y", 2))
     assert sp.dim == 8
-    assert sp.index("x", 1, 1) == 0
-    assert sp.index("x", 2, 3) == 5
-    assert sp.index("y", 2) == 7
-    assert sp.var_name(4) == "x[2,2]"
-    assert sp.var_name(6) == "y[1]"
+    names = sp.names()
+    assert names.index("x[1,1]") == 0
+    assert names.index("x[2,3]") == 5
+    assert names.index("y[2]") == 7
+    assert names[4] == "x[2,2]"
+    assert names[6] == "y[1]"
     assert list(sp.block_range("y")) == [6, 7]
+
+
+def test_block_rejects_more_than_two_dimensions():
+    with pytest.raises(ValueError, match="bad block shape"):
+        Block("x", (2, 2, 2))
+    with pytest.raises(ValueError, match="bad block shape"):
+        Block("x", ())
 
 
 def test_split_pos_neg():
@@ -81,18 +85,10 @@ def test_listing_is_sorted_once_and_handed_out_as_a_copy():
     assert list(s) == list(s) == s.sorted() and len(s.sorted()) == 2
 
 
-def test_purity_and_purified():
+def test_purity():
     g = Binomial((2, 1, 0), (0, 1, 1))
     assert not g.is_pure
-    assert g.purified() == Binomial((2, 0, 0), (0, 0, 1)).canonical()
     assert Binomial((1, 0), (0, 1)).is_pure
-
-
-def test_initial_form_under_weight_vectors():
-    g = Binomial((0, 0, 2), (0, 1, 0))  # x3^2 vs x2
-    assert initial_form((1, 1, 1), g) == LHS
-    assert initial_form((0, 5, 1), g) == RHS
-    assert initial_form((0, 2, 1), g) == BOTH
 
 
 def test_substitute_ones_drops_collapsing_binomials():

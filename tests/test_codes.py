@@ -7,8 +7,9 @@ import pytest
 
 from codegb import codes
 from codegb.cli import main
-from codegb.codes import LinearCode, rank
+from codegb.codes import LinearCode
 from codegb.fields import FiniteField
+from conftest import rank
 
 FIELDS = {
     "GF2": (2, 1, (0, 1)),

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from codegb.binomials import GENERALIZED, slot_elements
 from codegb.fields import (
     FIELD_LIMIT,
     DependentBasisError,
@@ -58,7 +59,6 @@ GF9_PI = [
 @pytest.mark.parametrize("k,expected", GF9_PI)
 def test_gf9_projection_table(ff9, k, expected):
     el = ff9.from_power(k)
-    assert (ff9.projection(el, 1), ff9.projection(el, 2)) == expected
     assert ff9.coords(el) == expected
 
 
@@ -82,14 +82,16 @@ def test_cross_up_gf4(ff4):
     assert ff4.cross_up(word) == (1, 0, 0, 0, 0, 1)
 
 
-def test_cross_down_left_inverts_cross_up(ff9):
+def test_combining_over_the_powers_left_inverts_cross_up(ff9):
+    # word_of_binomial reads a generalized exponent vector this way
+    powers = slot_elements(ff9, GENERALIZED)
     words = [
         (ff9.zero(), ff9.one()),
         (ff9.from_power(5), ff9.from_power(2)),
         (ff9.alpha(), ff9.zero()),
     ]
     for w in words:
-        assert ff9.cross_down(ff9.cross_up(w)) == w
+        assert ff9.combine(ff9.cross_up(w), powers) == w
 
 
 def test_field_element_times_handles_negative_multiples(ff3):

@@ -29,7 +29,7 @@ from codegb.binomials import (
     word_of_binomial,
 )
 from codegb.cli import parse_input
-from codegb.codes import LinearCode, rank
+from codegb.codes import LinearCode
 from codegb.fields import DependentBasisError, FiniteField, NonPrimitiveModulusError
 from codegb.graver import (
     GraverBasis,
@@ -50,6 +50,7 @@ from codegb.groebner import _Packed, _widening
 from codegb.matrices import build_He, build_Hplus_e, extend_with_pI
 from codegb.toric import kernel_basis
 from codegb.universal import universal_basis
+from conftest import codewords, rank
 
 
 def pairs(basis):
@@ -446,7 +447,7 @@ def test_brick_route_equals_the_completion_on_random_codes():
     for field in [(7, 1)] * 3 + [(3, 2)]:
         while True:
             drawn = random_code(rng, {field: moduli[field]}, lambda p, width: 2 * (width > 2))
-            if drawn is not None and all(sum(map(bool, w)) <= 1 for w in drawn[1].codewords()):
+            if drawn is not None and all(sum(map(bool, w)) <= 1 for w in codewords(drawn[1])):
                 break
         check(drawn)
     assert time.monotonic() - t0 < 30.0
@@ -505,7 +506,7 @@ def test_odd_codes_past_the_completion(name, count, budget):
     }
     if name == "tgolay":
         code, kind = ternary_golay_code(), ORDINARY
-        assert code.m == 5 and min(sum(map(bool, w)) for w in code.codewords() if any(w)) == 5
+        assert code.m == 5 and min(sum(map(bool, w)) for w in codewords(code) if any(w)) == 5
     else:
         text, kind = documents[name]
         code = code_of(text)

@@ -15,6 +15,7 @@ from codegb.matrices import (
     lawrence_lift,
     vstack,
 )
+from conftest import codewords
 
 
 def rows_of(m):
@@ -100,7 +101,7 @@ def test_He_annihilates_codeword_coordinates(code_f9):
     # H_e . coords(c) = 0 mod p for every codeword c
     ff = code_f9.ff
     He = build_He(code_f9)
-    for c in code_f9.codewords():
+    for c in codewords(code_f9):
         vec = [x for el in c for x in ff.coords(el)]
         for i in range(He.nrows):
             assert sum(a * b for a, b in zip(He.row(i), vec)) % ff.p == 0
@@ -109,7 +110,7 @@ def test_He_annihilates_codeword_coordinates(code_f9):
 def test_Hplus_annihilates_crossed_codewords(code_f4):
     ff = code_f4.ff
     Hp = build_Hplus_e(code_f4)
-    for c in code_f4.codewords():
+    for c in codewords(code_f4):
         vec = ff.cross_up(c)
         for i in range(Hp.nrows):
             assert sum(a * b for a, b in zip(Hp.row(i), vec)) % ff.p == 0

@@ -11,10 +11,11 @@ from codegb.binomials import (
     GENERALIZED,
     ORDINARY,
     Binomial,
+    DimensionMismatchError,
     InvariantError,
     build_ordinary_generators,
 )
-from codegb.codes import LinearCode, rank
+from codegb.codes import LinearCode
 from codegb.fields import DependentBasisError, FiniteField
 from codegb.graver import graver_generalized, graver_ordinary
 from codegb.groebner import buchberger
@@ -27,6 +28,7 @@ from codegb.universal import (
     prune_by_lemma,
     universal_basis,
 )
+from conftest import rank
 from test_lp import dense_feasible_point
 
 
@@ -173,6 +175,24 @@ def test_prune_lemma_on_the_repetition_code(rep2):
     assert prune_by_lemma(Binomial((1, 1), (0, 0)), graver)
     assert not prune_by_lemma(Binomial((1, 0), (0, 1)), graver)
     assert not prune_by_lemma(Binomial((2, 0), (0, 0)), graver)
+
+
+# binomials in three variables and in one, off the two variables of rep2's Graver basis
+OFF_SPACE = [Binomial((1, 0, 0), (0, 0, 1)), Binomial((1,), (0,))]
+
+
+def test_prune_lemma_rejects_a_binomial_outside_the_graver_space(rep2):
+    graver = graver_ordinary(rep2)
+    for g in OFF_SPACE:
+        with pytest.raises(DimensionMismatchError, match=f"length {len(g.lhs)} .* 2 variables"):
+            prune_by_lemma(g, graver)
+
+
+def test_cone_rows_reject_a_binomial_outside_the_graver_space(rep2):
+    graver = graver_ordinary(rep2)
+    for g in OFF_SPACE:
+        with pytest.raises(DimensionMismatchError, match=f"length {len(g.lhs)} .* 2 variables"):
+            cone_rows(g, graver)
 
 
 def test_cone_rows_contain_the_strictness_row(code_f3):
