@@ -124,13 +124,6 @@ class FieldElement:
         qm1 = f.q - 1
         return FieldElement(f, (self.k * e - 1) % qm1 + 1)
 
-    def times(self, m: int) -> "FieldElement":
-        """Integer scalar multiple m*a (m may be negative; wraps mod p)."""
-        f = self.field
-        p = f.p
-        m %= p
-        return f.from_poly_coords(tuple((m * a) % p for a in f.poly_coords(self)))
-
     def __repr__(self) -> str:
         if self.k == 0:
             return "0"

@@ -121,10 +121,14 @@ oracle of both enumerations.
 
 The paper's route, the toric ideal of the p-Lawrence lifting over the doubled
 x/y space with y set to 1 at the end, is kept as `graver_lawrence`, and an
-exhaustive search over bounded difference vectors as `graver_bruteforce`;
-both serve as independent cross-checks.  No command runs `graver_lawrence`;
-it stays on purpose, as the paper's own algorithm, and because the traced
-benchmark (`perfbench/spans.py`) wraps `lawrence_lift`, `toric_ideal`,
+exhaustive search over bounded difference vectors, a sweep of their
+residues mod p under the defining matrix, as `graver_bruteforce`; both
+serve as independent cross-checks.  The brick route and the Lawrence route
+pass their elements through one check (`_check_elements`): M d = 0 mod p
+with the packed columns of M, and no exponent of p or more outside
+x_i^p - 1.  No command runs `graver_lawrence`; it stays on purpose, as the
+paper's own algorithm, and because the traced benchmark
+(`perfbench/spans.py`) wraps `lawrence_lift`, `toric_ideal`,
 `substitute_ones` and `buchberger` in this module's namespace, where only
 this route uses them, and fails on a missing name.
 """
@@ -146,7 +150,6 @@ from .binomials import (
     slot_elements,
     split_pos_neg,
     substitute_ones,
-    word_of_binomial,
 )
 from .codes import LinearCode, _rref, nullspace
 from .groebner import _blocks, buchberger
@@ -461,12 +464,6 @@ def _brick_vectors(code: LinearCode, kind: str) -> list:
     return out
 
 
-def _unit_syndromes(code: LinearCode, slots) -> list:
-    """The syndrome of the unit vector of each variable x[j,t]: the slot
-    element t times column j of H."""
-    return [tuple(row[j] * b for row in code.H) for j in range(code.n) for b in slots]
-
-
 def _codeword_test(mat, p: int, degree: int):
     """A test of whether x^u - x^v, both sides of degree at most `degree`,
     lies in the lattice ideal of the integer matrix `mat` mod p: whether
@@ -497,20 +494,25 @@ def _codeword_test(mat, p: int, degree: int):
     return encodes
 
 
-def _graver(code: LinearCode, kind: str, build) -> GraverBasis:
-    """The Graver basis of L for `kind` (`_brick_vectors`), every element
-    checked against the matrix that `build` makes from the code."""
-    p = code.ff.p
-    stage = f"graver bricks ({kind})"
-    space = VariableSpace(Block("x", (code.n, len(slot_elements(code.ff, kind)))))
-    out = BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in _brick_vectors(code, kind)])
-    encodes = _codeword_test(build(code), p, max((max(sum(b.lhs), sum(b.rhs)) for b in out), default=0))
+def _check_elements(out: BinomialSet, mat, p: int, stage: str) -> None:
+    """Raise InvariantError unless every element of `out` lies in the lattice
+    ideal of the defining matrix `mat` mod p and has no exponent of p or more
+    outside x_i^p - 1."""
+    encodes = _codeword_test(mat, p, max((max(sum(b.lhs), sum(b.rhs)) for b in out), default=0))
     for b in out:
         if not encodes(b):
             raise InvariantError(stage, "element encodes no codeword", b)
         # p*e_i lies in L and is conformal to every d != +-p*e_i with |d_i| >= p
         if max(b.lhs + b.rhs) >= p and sum(b.lhs + b.rhs) != p:
             raise InvariantError(stage, "element is not ⊑-minimal", b)
+
+
+def _graver(code: LinearCode, kind: str, build) -> GraverBasis:
+    """The Graver basis of L for `kind` (`_brick_vectors`), every element
+    checked against the matrix that `build` makes from the code."""
+    space = VariableSpace(Block("x", (code.n, len(slot_elements(code.ff, kind)))))
+    out = BinomialSet(space, [Binomial(*split_pos_neg(v)) for v in _brick_vectors(code, kind)])
+    _check_elements(out, build(code), code.ff.p, f"graver bricks ({kind})")
     return GraverBasis(out, kind, code)
 
 
@@ -554,8 +556,7 @@ def graver_lawrence(code: LinearCode, kind: str, order: Optional[MonomialOrder] 
     for b in out:
         if not b.is_pure:
             raise InvariantError(stage, "element is not pure", b)
-        if word_of_binomial(code, b, kind) is None:
-            raise InvariantError(stage, "element encodes no codeword", b)
+    _check_elements(out, mat, ff.p, stage)
     return GraverBasis(out, kind, code)
 
 
@@ -563,55 +564,44 @@ def graver_bruteforce(code: LinearCode, kind: str) -> GraverBasis:
     """Exhaustive oracle: enumerate difference vectors, keep primitive members.
 
     A binomial pair (u, v) with disjoint supports and entries in [0, p] is the
-    same datum as d = u - v in [-p, p]^N, so the sweep runs over d.  Membership
-    is linear in d, which allows one field-syndrome table per coordinate and an
-    incremental accumulation down the recursion.
+    same datum as d = u - v in [-p, p]^N, so the sweep runs over d, and d lies
+    in L exactly when M d = 0 mod p for the defining matrix M (`expansion`).
+    Membership is linear in d: the residues of M d accumulate down the
+    recursion, and the last coordinate is read off a table from the residues
+    of the others to the coefficients that cancel them.
     """
-    ff = code.ff
-    p = ff.p
-    slots = slot_elements(ff, kind)
+    p = code.ff.p
+    slots = slot_elements(code.ff, kind)
     space = VariableSpace(Block("x", (code.n, len(slots))))
     N = space.dim
     if (2 * p + 1) ** N > SEARCH_LIMIT:
         raise SearchSpaceTooLargeError(
             f"brute-force sweep of size (2p+1)^N = {(2 * p + 1) ** N} exceeds {SEARCH_LIMIT}"
         )
-
-    # syndrome of the unit difference vector of each variable: the slot element
-    # times column j of H
-    m = code.m
-    idx2elt = ff.elements()
-    add = [[(a + b).k for b in idx2elt] for a in idx2elt]
-    unit_syndromes = [tuple(e.k for e in s) for s in _unit_syndromes(code, slots)]
-
-    # scaled copies for every coefficient in [-p, p]
-    scaled = []
-    for s in unit_syndromes:
-        per_c = {}
-        for c in range(-p, p + 1):
-            per_c[c] = tuple(idx2elt[k].times(c).k for k in s)
-        scaled.append(per_c)
+    mat = expansion(code, slots)
+    coefficients = range(-p, p + 1)
+    # the residues of c times each column but the last, for every coefficient c
+    scaled = [{c: tuple(c * x % p for x in mat.column(j)) for c in coefficients} for j in range(N - 1)]
+    last = {}  # residues -> the coefficients of the last column that cancel them
+    for c in coefficients:
+        last.setdefault(tuple(-c * x % p for x in mat.column(N - 1)), []).append(c)
 
     members = []
     d = [0] * N
-    zero_synd = (0,) * m
 
-    def sweep(i, synd):
-        if i == N:
-            if synd == zero_synd and any(d):
-                members.append(tuple(d))
-            return
-        per_c = scaled[i]
-        for c in range(-p, p + 1):
-            d[i] = c
-            if c == 0:
-                sweep(i + 1, synd)
-            else:
-                delta = per_c[c]
-                sweep(i + 1, tuple(add[a][b] for a, b in zip(synd, delta)))
+    def sweep(i, residues):
+        if i == N - 1:
+            for c in last.get(residues, ()):
+                d[i] = c
+                if any(d):
+                    members.append(tuple(d))
+        else:
+            for c, column in scaled[i].items():
+                d[i] = c
+                sweep(i + 1, tuple((a + b) % p for a, b in zip(residues, column)) if c else residues)
         d[i] = 0
 
-    sweep(0, zero_synd)
+    sweep(0, (0,) * mat.nrows)
 
     # primitivity: keep members with no conformally smaller member, sweeping
     # by ascending L1 norm so every dropped vector has a kept witness

@@ -13,6 +13,7 @@ KEPT = {
     "reduce": "the decoding API: the normal form of a word under a Groebner basis",
     "WeightOrder": "turns a cone witness into a term order (acceptance criterion 9)",
     "graver_lawrence": "the paper's route; perfbench/spans.py wraps the names it imports into codegb.graver",
+    "word_of_binomial": "the decoding API: the codeword a binomial encodes (perfbench's decode gate)",
 }
 
 

@@ -94,12 +94,6 @@ def test_combining_over_the_powers_left_inverts_cross_up(ff9):
         assert ff9.combine(ff9.cross_up(w), powers) == w
 
 
-def test_field_element_times_handles_negative_multiples(ff3):
-    x = ff3.from_int(1)
-    assert x.times(-1) == ff3.from_int(2)
-    assert x.times(3) == ff3.zero()
-
-
 def test_pow_and_inverse(ff4):
     a = ff4.alpha()
     assert a ** 3 == ff4.one()

@@ -244,12 +244,12 @@ def positions_under_cap(p, width):
     return n
 
 
-def random_code(rng, moduli, most_positions):
+def random_code(rng, moduli, most_positions, kinds=(ORDINARY, GENERALIZED)):
     """(kind, code) for a random full-rank parity matrix over one of the
     fields that `moduli` maps to their primitive moduli, under a random one
-    of them and half the time a random basis, with at most
-    most_positions(p, variables per position) positions; None when the draw
-    gives no code."""
+    of them and half the time a random basis, of one of `kinds`, with at
+    most most_positions(p, variables per position) positions; None when the
+    draw gives no code."""
     p, r = rng.choice(list(moduli))
     ff = FiniteField(p, r, rng.choice(moduli[p, r]))
     if rng.random() < 0.5:
@@ -257,7 +257,7 @@ def random_code(rng, moduli, most_positions):
             ff = ff.with_basis([ff.from_power(rng.randrange(1, ff.q)) for _ in range(r)])
         except DependentBasisError:
             return None
-    kind = rng.choice([ORDINARY, GENERALIZED])
+    kind = rng.choice(kinds)
     most = most_positions(p, len(slot_elements(ff, kind)))
     if not most:
         return None
@@ -298,6 +298,36 @@ def test_completion_equals_bruteforce_on_random_codes():
         (7, GENERALIZED), (8, GENERALIZED), (9, GENERALIZED)
     }
     assert rebased == fields - {2}
+
+
+def test_completion_equals_bruteforce_past_gf9():
+    # 150 seeded ordinary codes over GF(11), GF(13) and GF(25), whose oracle
+    # sweeps the residues mod p of the defining matrix; about 0.3 s on a 2-core
+    # x86 VM (budget: 5 s)
+    fields = [(11, 1), (13, 1), (5, 2)]
+    moduli = {f: primitive_moduli(*f) for f in fields}
+    rng = random.Random(31)
+    seen, rebased = set(), set()
+    t0 = time.monotonic()
+    checked = 0
+    while checked < 150:
+        drawn = random_code(rng, moduli, positions_under_cap, kinds=(ORDINARY,))
+        if drawn is None:
+            continue
+        _, code = drawn
+        ff = code.ff
+        assert graver_ordinary(code) == graver_bruteforce(code, ORDINARY), (ff.modulus, ff.basis, code.H)
+        checked += 1
+        seen.add(ff.q)
+        if ff.basis != FiniteField(ff.p, ff.r, ff.modulus).basis:
+            rebased.add(ff.q)
+    assert time.monotonic() - t0 < 5.0
+    assert seen == rebased == {11, 13, 25}
+    # and GF(101), a sweep of 203^2 difference vectors
+    code = code_of("field p=101 r=1 modulus=0,1\nparity 1 3\n")
+    g = graver_ordinary(code)
+    assert len(g) == 38
+    assert g == graver_bruteforce(code, ORDINARY)
 
 
 # ------------------------------------------------ the completion oracle
@@ -842,9 +872,9 @@ def test_generalized_quaternary_code_of_length_four():
     assert all(word_of_binomial(code, b, GENERALIZED) is not None for b in g)
 
 
-def invariant_failure_under_python_O(p, row):
-    """The stage and message of the InvariantError that graver_ordinary raises
-    under python -O on the code with parity `row` over GF(p), when no element
+def invariant_failure_under_python_O(p, row, call="graver.graver_ordinary(code)"):
+    """The stage and message of the InvariantError that `call` raises under
+    python -O on the code with parity `row` over GF(p), when no element
     passes for a codeword."""
     script = "\n".join([
         "import codegb.graver as graver",
@@ -854,7 +884,7 @@ def invariant_failure_under_python_O(p, row):
         f"ff = FiniteField({p}, 1, (0, 1))",
         f"code = LinearCode.from_parity(ff, [[ff.from_int(e) for e in {row!r}]])",
         "try:",
-        "    graver.graver_ordinary(code)",
+        f"    {call}",
         "except InvariantError as e:",
         "    print(e.stage)",
         "    print(e)",
@@ -880,6 +910,13 @@ def test_invariant_checks_still_fire_under_python_O_on_the_circuit_route():
     # now take the same stage as every other p
     stage, message = invariant_failure_under_python_O(2, [1, 1, 0])
     assert stage == "graver bricks (ordinary)"
+    assert message.startswith(stage + ": element encodes no codeword: Binomial(")
+
+
+def test_invariant_checks_still_fire_under_python_O_on_the_lawrence_route():
+    # the paper's route checks its elements with the same test as the others
+    stage, message = invariant_failure_under_python_O(3, [1, 2, 1], "graver.graver_lawrence(code, 'ordinary')")
+    assert stage == "graver via Lawrence lifting (ordinary)"
     assert message.startswith(stage + ": element encodes no codeword: Binomial(")
 
 
@@ -937,6 +974,23 @@ def test_circuit_route_checks_minimality(monkeypatch):
     # binary codes once took a route of their own through the circuits, and
     # the check must hold for them on the shared route
     check_brick_route_minimality(monkeypatch, 2)
+
+
+def test_lawrence_route_checks_minimality(monkeypatch, code_f3):
+    # x1^3 x2^3 - 1 lies in L and encodes the zero word, but x1^3 - 1 is
+    # conformal to it
+    substitute = codegb.graver.substitute_ones
+
+    def with_extra(gens, block):
+        out = substitute(gens, block)
+        if block != "y":
+            return out
+        return BinomialSet(out.space, [*out, Binomial((3, 3, 0), (0, 0, 0))])
+
+    monkeypatch.setattr(codegb.graver, "substitute_ones", with_extra)
+    with pytest.raises(InvariantError, match="not ⊑-minimal") as e:
+        graver_lawrence(code_f3, ORDINARY)
+    assert e.value.stage == "graver via Lawrence lifting (ordinary)"
 
 
 def test_completion_widens_its_fields_past_the_generators_entries():
